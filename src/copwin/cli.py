@@ -58,7 +58,7 @@ def _fmt_diameter(d):
     return "inf" if d == math.inf else d
 
 
-def _iter_input_graphs(path, out, as_json):
+def _iter_input_graphs(path):
     """Yield (ok, graph-or-record) per input line; parse failures become
     error records and the stream continues."""
     with open(path) as fh:
@@ -72,9 +72,9 @@ def _iter_input_graphs(path, out, as_json):
                 yield False, {"line": lineno, "status": "parse_error", "error": str(e)}
 
 
-def _graph_source(args, out, max_n):
+def _graph_source(args, max_n):
     if args.input:
-        for ok, item in _iter_input_graphs(args.input, out, args.json):
+        for ok, item in _iter_input_graphs(args.input):
             yield ok, item
     else:
         nmax = args.nmax
@@ -94,8 +94,8 @@ class SystemExit2(Exception):
 
 
 def cmd_solve(args, out):
-    status = EXIT_OK
-    for ok, item in _graph_source(args, out, SOLVER_SCAN_MAX_N):
+    unresolved = False
+    for ok, item in _graph_source(args, SOLVER_SCAN_MAX_N):
         if not ok:
             _emit(out, item, args.json)
             continue
@@ -112,6 +112,7 @@ def cmd_solve(args, out):
             rec["status"] = "ok"
         except StateBudgetError as e:
             rec["status"] = "unresolved"
+            unresolved = True
             if e.lower_bound is not None:
                 rec["c_lower_bound"] = e.lower_bound
         except CopwinError as e:
@@ -120,7 +121,8 @@ def cmd_solve(args, out):
         if args.timing:
             rec["time"] = "%.3f" % (time.perf_counter() - t0)
         _emit(out, rec, args.json)
-    return status
+    # budget-capped solves are failures, not skips, as in scan
+    return EXIT_RESOURCE if unresolved else EXIT_OK
 
 
 def _scan_filter(check, g):
@@ -206,7 +208,7 @@ def cmd_scan(args, out):
     if not args.json:
         out.write("# " + " ".join("%s=%s" % kv for kv in header.items()) + "\n")
     checked = violations = candidates = unresolved = 0
-    for ok, item in _graph_source(args, out, max_n):
+    for ok, item in _graph_source(args, max_n):
         if not ok:
             _emit(out, item, args.json)
             continue
@@ -257,7 +259,7 @@ def cmd_gen(args, out):
 
 
 def cmd_trap(args, out):
-    for ok, item in _graph_source(args, out, TRAP_SCAN_MAX_N):
+    for ok, item in _graph_source(args, TRAP_SCAN_MAX_N):
         if not ok:
             _emit(out, item, args.json)
             continue
@@ -288,8 +290,7 @@ def cmd_ineq(args, out):
 
 
 def cmd_simulate(args, out):
-    status = EXIT_OK
-    for ok, item in _graph_source(args, out, SOLVER_SCAN_MAX_N):
+    for ok, item in _graph_source(args, SOLVER_SCAN_MAX_N):
         if not ok:
             _emit(out, item, args.json)
             continue
@@ -299,7 +300,7 @@ def cmd_simulate(args, out):
                          max_rounds=args.max_rounds)
         out.write("graph %s cops=%d\n" % (emit_graph6(g), plan.total_cops))
         out.write(format_trace(trace))
-    return status
+    return EXIT_OK
 
 
 def build_parser():

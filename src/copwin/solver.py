@@ -2,10 +2,22 @@
 
 States are (cop multiset, robber vertex, side to move).  The cop team's
 move relation is the reflexive closure of the k-fold strong product of G
-(each cop moves along an edge or stays); that product graph is never
-materialized, positions are expanded on demand.  Winning states are
-computed as the cop attractor of the capture states, with levels counted
-in cop rounds (the optimal rounds-to-capture).
+(each cop moves along an edge or stays); one table of successor
+positions holds it.  Winning states are the cop attractor of the capture
+states, computed in rounds over per-position bitmasks of robber
+vertices:
+
+* C_0[p] is the set of arena vertices on which a robber facing cop
+  position p with the cops to move is already caught.
+* R_L[p] adds to the occupied arena vertices of p every arena vertex
+  all of whose robber moves lie in C_L[p]: the robber to move there
+  loses within L cop rounds.
+* C_{L+1}[p] is C_L[p] together with R_L[q] for every successor q of p.
+
+Iteration stops when C no longer changes.  The round in which a state
+first appears is its level: the optimal number of cop rounds to
+capture.  Results keep the per-round masks and read labels, levels and
+strategies from them on demand.
 
 Two variants:
 
@@ -14,7 +26,11 @@ Two variants:
 * teleport -- each cop may jump to any vertex except the robber's
   current one; the robber loses as soon as his own round (or his
   placement) ends in the closed neighbourhood of a cop.  A config switch
-  gives the open-neighbourhood reading instead.
+  gives the open-neighbourhood reading instead.  C_0[p] is then the
+  arena part of that danger zone.  Since every position that avoids the
+  robber is one jump away, the round collapses to
+  C_{L+1}[p] = C_L[p] | T_L, with T_L the union of R_L[q] minus the
+  occupied vertices of q over all positions q.
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -23,12 +39,18 @@ are about.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
-from .graphs import Graph, bits, induced_subgraph, is_connected, is_dismantlable
+from .graphs import (
+    bits,
+    induced_subgraph,
+    is_connected,
+    is_dismantlable,
+    reachable_mask,
+)
 
 DEFAULT_STATE_BUDGET = 50_000_000
 DISMANTLABLE_CROSS_CHECK_MAX_N = 32
@@ -88,7 +110,6 @@ class GameConfig:
     k: int = 1
     variant: str = "standard"  # "standard" | "teleport"
     robber_may_pass: bool = True
-    cops_may_pass: bool = True  # standard variant only
     robber_arena: Arena | None = None
     teleport_open_neighborhood: bool = False
 
@@ -106,59 +127,92 @@ class GameState:
     turn: str  # "cops" | "robber"
 
 
+_SIDE = {"cops": 0, "robber": 1}
+
+
 class SolveResult:
-    """Win labels, capture levels and extracted strategies for one solved
-    instance.  Immutable once returned; safe to share."""
+    """Per-round attractor masks for one solved instance; labels, levels
+    and strategies are read from them on demand.  Immutable once
+    returned; safe to share.
+
+    rounds[L] is the pair (C_L, R_L) of per-position masks of the robber
+    vertices from which the cops win within L rounds, with the cops or
+    the robber to move; the last pair is the fixpoint.
+    """
 
     def __init__(
-        self,
-        g,
-        cfg,
-        positions,
-        arena_vertices,
-        labels,
-        levels,
-        cops_win,
-        best_position,
-        cop_strategy,
-        robber_strategy,
-        rob_moves,
+        self, g, cfg, positions, arena_vertices, rob_moves, successors, rounds
     ):
         self.g = g
         self.cfg = cfg
         self.positions = positions
         self.arena_vertices = arena_vertices
-        self._labels = labels  # dict (pos, r, turn) -> True for cop-win
-        self._levels = levels  # dict, cop-win states only
-        self.cops_win = cops_win
-        self.best_position = best_position
-        self.cop_strategy = cop_strategy  # (pos, r) -> next pos
-        self.robber_strategy = robber_strategy  # (pos, r) -> next robber vertex
-        self._rob_moves = rob_moves  # r -> tuple of destinations
+        self._rob_moves = rob_moves  # arena vertex -> mask of destinations
+        self._successors = successors  # cop-move table; None under teleport
+        self._rounds = rounds
+        self._index = {t: i for i, t in enumerate(positions)}
+        self._full = sum(1 << v for v in arena_vertices)
+        # the cops place where the whole arena is won soonest
+        self.best_position = next(
+            (
+                positions[p]
+                for cop, _ in rounds
+                for p, m in enumerate(cop)
+                if m == self._full
+            ),
+            None,
+        )
+        self.cops_win = self.best_position is not None
 
     def is_cop_win(self, pos, r, turn):
-        return self._labels.get((tuple(pos), r, turn), False)
+        p = self._index.get(tuple(pos))
+        return p is not None and bool(self._rounds[-1][_SIDE[turn]][p] >> r & 1)
 
     def level_of(self, pos, r, turn):
         """Optimal cop rounds to capture from a cop-winning state."""
-        return self._levels[(tuple(pos), r, turn)]
+        p = self._index.get(tuple(pos))
+        if p is not None:
+            side = _SIDE[turn]
+            for lv, masks in enumerate(self._rounds):
+                if masks[side][p] >> r & 1:
+                    return lv
+        raise KeyError("(%r, %r, %r) is not a cop-win state" % (pos, r, turn))
+
+    def cop_move(self, pos, r):
+        """The cops' reply in a cops-to-move state they win in L >= 1
+        rounds: the successor position whose robber-to-move state has
+        the least level (L - 1), lowest index on ties."""
+        lv = self.level_of(pos, r, "cops")
+        if lv == 0:
+            raise KeyError("(%r, %r) is already a capture" % (pos, r))
+        rob = self._rounds[lv - 1][1]
+        if self._successors is None:
+            succ = (q for q, t in enumerate(self.positions) if r not in t)
+        else:
+            succ = self._successors[self._index[tuple(pos)]]
+        return next(self.positions[q] for q in succ if rob[q] >> r & 1)
 
     def robber_moves(self, r):
-        return self._rob_moves[r]
+        return tuple(bits(self._rob_moves[r]))
 
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
         placement is robber-win."""
-        worst = 0
-        for r in self.arena_vertices:
-            key = (tuple(pos), r, "cops")
-            if not self._labels.get(key, False):
-                return None
-            worst = max(worst, self._levels[key])
-        return worst
+        p = self._index.get(tuple(pos))
+        if p is None:
+            return None
+        return next(
+            (lv for lv, (cop, _) in enumerate(self._rounds) if cop[p] == self._full),
+            None,
+        )
 
 
-def _positions(n, k):
+def _positions(n, k, per_position, budget):
+    """All cop positions (nondecreasing k-tuples), sized by arithmetic
+    against the budget before any is built."""
+    est = math.comb(n + k - 1, k) * per_position
+    if est > budget:
+        raise StateBudgetError(est, budget)
     return list(combinations_with_replacement(range(n), k))
 
 
@@ -172,6 +226,18 @@ def _occupancy(positions):
     return out
 
 
+def _successors(g, positions):
+    """Cop-move table: for each position, the sorted indices of the
+    positions the team reaches in one move (each cop moves along an edge
+    or stays)."""
+    index = {t: i for i, t in enumerate(positions)}
+    moves = [[v] + g.neighbors(v) for v in range(g.n)]
+    return [
+        sorted({index[tuple(sorted(c))] for c in product(*(moves[v] for v in t))})
+        for t in positions
+    ]
+
+
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
     """Solve one instance exactly; returns a SolveResult.
 
@@ -182,176 +248,55 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         raise DisconnectedGraphError(
             "graph is disconnected (pass allow_disconnected to solve anyway)"
         )
-    n = g.n
-    k = cfg.k
     arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
     arena.validate_against(g)
-    averts = arena.vertices
-    A = len(averts)
-    ridx = {v: i for i, v in enumerate(averts)}
-
-    positions = _positions(n, k)
-    P = len(positions)
-    est = P * A * 2
-    if est > budget:
-        raise StateBudgetError(est, budget)
+    positions = _positions(g.n, cfg.k, len(arena.vertices) * 2, budget)
     occ = _occupancy(positions)
-    teleport = cfg.variant == "teleport"
+    amask = sum(1 << v for v in arena.vertices)
+    rob_moves = {
+        r: arena.adj[r] | (1 << r if cfg.robber_may_pass else 0)
+        for r in arena.vertices
+    }
+    steps = [(1 << r, mv) for r, mv in rob_moves.items()]
+    caught = [o & amask for o in occ]
 
-    if teleport:
-        pos_succ = None
-        danger = []
-        for pi, t in enumerate(positions):
-            d = occ[pi]  # standing on a cop is capture under either reading
+    if cfg.variant == "teleport":
+        successors = None
+        cop = []
+        for t, d in zip(positions, occ):  # standing on a cop is capture
             for c in set(t):
                 d |= g.adj[c] if cfg.teleport_open_neighborhood else g.closed_mask(c)
-            danger.append(d)
+            cop.append(d & amask)
     else:
-        pos_index = {t: i for i, t in enumerate(positions)}
-        if cfg.cops_may_pass:
-            copmoves = [[v] + g.neighbors(v) for v in range(n)]
+        successors = _successors(g, positions)
+        cop = caught
+
+    rounds = []
+    while True:
+        # a robber to move loses where caught or where every move is;
+        # the bits are distinct, so their sum is their union
+        rob = [
+            m | sum(bit for bit, mv in steps if not mv & ~c)
+            for m, c in zip(caught, cop)
+        ]
+        rounds.append((cop, rob))
+        if successors is None:
+            # cops jump to any position avoiding the robber
+            jump = 0
+            for o, m in zip(occ, rob):
+                jump |= m & ~o
+            nxt = [c | jump for c in cop]
         else:
-            copmoves = [g.neighbors(v) for v in range(n)]
-        pos_succ = []
-        for t in positions:
-            succ = {
-                pos_index[tuple(sorted(c))]
-                for c in product(*(copmoves[v] for v in t))
-            }
-            pos_succ.append(sorted(succ))
-
-    rob_moves = []
-    for r in averts:
-        dests = [ridx[u] for u in bits(arena.adj[r])]
-        if cfg.robber_may_pass:
-            dests.append(ridx[r])
-        rob_moves.append(sorted(dests))
-
-    size = P * A * 2
-    labels = bytearray(size)
-    level = [-1] * size
-    counters = [0] * (P * A)
-    queues = [deque()]
-
-    def mark(sid, lv):
-        labels[sid] = 1
-        level[sid] = lv
-        while len(queues) <= lv:
-            queues.append(deque())
-        queues[lv].append(sid)
-
-    # terminal states
-    for pi in range(P):
-        om = occ[pi]
-        dm = danger[pi] if teleport else om
-        for ri, r in enumerate(averts):
-            base = (pi * A + ri) * 2
-            counters[pi * A + ri] = len(rob_moves[ri])
-            if teleport:
-                if dm >> r & 1:
-                    mark(base, 0)
-                if om >> r & 1:
-                    mark(base + 1, 0)
-            else:
-                if om >> r & 1:
-                    mark(base, 0)
-                    mark(base + 1, 0)
-    # a robber with no legal move is lost
-    for pi in range(P):
-        for ri in range(A):
-            sid = (pi * A + ri) * 2 + 1
-            if not labels[sid] and not rob_moves[ri]:
-                mark(sid, 0)
-
-    # attractor propagation, level by level (levels count cop rounds)
-    lv = 0
-    while lv < len(queues):
-        q = queues[lv]
-        while q:
-            sid = q.popleft()
-            t = sid & 1
-            pr = sid >> 1
-            pi, ri = divmod(pr, A)
-            if t == 1:
-                # cop predecessors: cops move into position pi
-                if teleport:
-                    if occ[pi] >> averts[ri] & 1:
-                        continue  # cops may not jump onto the robber
-                    preds = range(P)
-                else:
-                    preds = pos_succ[pi]
-                for pj in preds:
-                    psid = (pj * A + ri) * 2
-                    if not labels[psid]:
-                        mark(psid, lv + 1)
-            else:
-                # robber predecessors at the same cop position
-                for rj in rob_moves[ri]:
-                    psid = (pi * A + rj) * 2 + 1
-                    if not labels[psid]:
-                        c = pi * A + rj
-                        counters[c] -= 1
-                        if counters[c] == 0:
-                            mark(psid, lv)
-        lv += 1
-
-    # overall outcome: cops pick the position whose worst robber placement
-    # is still cop-win, minimizing the worst capture level
-    win_positions = []
-    for pi in range(P):
-        if all(labels[(pi * A + ri) * 2] for ri in range(A)):
-            worst = max(level[(pi * A + ri) * 2] for ri in range(A))
-            win_positions.append((worst, pi))
-    cops_do_win = bool(win_positions)
-    best_position = positions[min(win_positions)[1]] if cops_do_win else None
-
-    # strategy extraction (deterministic: min level, lowest index on ties)
-    cop_strategy = {}
-    robber_strategy = {}
-    label_dict = {}
-    level_dict = {}
-    for pi in range(P):
-        pos = positions[pi]
-        for ri, r in enumerate(averts):
-            base = (pi * A + ri) * 2
-            for t, turn in ((0, "cops"), (1, "robber")):
-                if labels[base + t]:
-                    label_dict[(pos, r, turn)] = True
-                    level_dict[(pos, r, turn)] = level[base + t]
-                else:
-                    label_dict[(pos, r, turn)] = False
-            if labels[base] and level[base] > 0:
-                if teleport:
-                    succs = (pj for pj in range(P) if not occ[pj] >> r & 1)
-                else:
-                    succs = pos_succ[pi]
-                best = None
-                for pj in succs:
-                    s1 = (pj * A + ri) * 2 + 1
-                    if labels[s1] and (best is None or level[s1] < best[0]):
-                        best = (level[s1], pj)
-                cop_strategy[(pos, r)] = positions[best[1]]
-            if not labels[base + 1]:
-                for rj in rob_moves[ri]:
-                    if not labels[(pi * A + rj) * 2]:
-                        robber_strategy[(pos, r)] = averts[rj]
-                        break
-
-    rob_move_verts = {
-        r: tuple(averts[j] for j in rob_moves[ri]) for ri, r in enumerate(averts)
-    }
+            nxt = []
+            for c, qs in zip(cop, successors):
+                for q in qs:
+                    c |= rob[q]
+                nxt.append(c)
+        if nxt == cop:
+            break
+        cop = nxt
     return SolveResult(
-        g,
-        cfg,
-        tuple(positions),
-        averts,
-        label_dict,
-        level_dict,
-        cops_do_win,
-        best_position,
-        cop_strategy,
-        robber_strategy,
-        rob_move_verts,
+        g, cfg, tuple(positions), arena.vertices, rob_moves, successors, rounds
     )
 
 
@@ -363,19 +308,14 @@ def optimal_robber_move(state, result):
     pos = tuple(sorted(state.cop_position))
     r = state.robber
     key = (pos, r, "robber")
-    if key not in result._labels:
+    if pos not in result._index or r not in result._rob_moves:
         raise KeyError("state %r not in solve table" % (key,))
-    safe = result.robber_strategy.get((pos, r))
-    if safe is not None:
-        return safe
-    best = None
-    for r2 in result.robber_moves(r):
-        lv = result.level_of(pos, r2, "cops")
-        if best is None or lv > best[0]:
-            best = (lv, r2)
-    if best is None:
+    moves = result.robber_moves(r)
+    if not moves:
         raise ValueError("robber has no legal move from %r" % (key,))
-    return best[1]
+    if not result.is_cop_win(pos, r, "robber"):
+        return next(r2 for r2 in moves if not result.is_cop_win(pos, r2, "cops"))
+    return max(moves, key=lambda r2: result.level_of(pos, r2, "cops"))
 
 
 def optimal_robber_placement(result, pos):
@@ -440,14 +380,7 @@ def _components(g):
     for v in range(g.n):
         if seen >> v & 1:
             continue
-        mask = 1 << v
-        frontier = mask
-        while frontier:
-            new = 0
-            for u in bits(frontier):
-                new |= g.adj[u]
-            frontier = new & ~mask
-            mask |= new
+        mask = reachable_mask(g, v)
         seen |= mask
         comps.append(induced_subgraph(g, list(bits(mask))))
     return comps
@@ -499,18 +432,9 @@ def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
     robber vertices, computed until stabilization.  The robber does not
     pass; cop moves use the reflexive closure of the strong product."""
     n = g.n
-    positions = _positions(n, k)
+    positions = _positions(n, k, n, budget)
     P = len(positions)
-    if P * n > budget:
-        raise StateBudgetError(P * n, budget)
-    pos_index = {t: i for i, t in enumerate(positions)}
-    copmoves = [[v] + g.neighbors(v) for v in range(n)]
-    pos_succ = []
-    for t in positions:
-        succ = {
-            pos_index[tuple(sorted(c))] for c in product(*(copmoves[v] for v in t))
-        }
-        pos_succ.append(sorted(succ))
+    pos_succ = _successors(g, positions)
     occ = _occupancy(positions)
 
     chain = [list(occ)]

@@ -195,10 +195,8 @@ def _robber_policy(g, plan, name):
         return _GreedyRobber(g)
     if name != "optimal":
         raise ValueError("robber_policy must be 'optimal' or 'greedy'")
-    from .solver import _positions
-
     k = max(plan.total_cops, 1)
-    est = len(_positions(g.n, k)) * g.n * 2
+    est = math.comb(g.n + k - 1, k) * g.n * 2
     if est > OPTIMAL_ROBBER_STATE_CAP:
         # state space too large to tabulate; fall back to the greedy
         # adversary, as for any large instance

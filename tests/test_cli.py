@@ -64,6 +64,7 @@ class TestSolve:
 
     def test_budget_exhaustion_marks_unresolved(self, petersen_file):
         code, text = run(["solve", "--input", petersen_file, "--budget", "10"])
+        assert code == EXIT_RESOURCE
         assert "status=unresolved" in text
         assert "c_lower_bound=1" in text
 

@@ -50,10 +50,16 @@ class TestFixpointOutcome:
     def test_equals_no_pass_game_exhaustively(self, k):
         for n in range(1, 6):
             for g in connected_graph_classes(n):
-                game = cops_win(
-                    g, GameConfig(k=k, robber_may_pass=False)
-                ).cops_win
-                assert preceq_fixpoint_wins(g, k) == game
+                res = cops_win(g, GameConfig(k=k, robber_may_pass=False))
+                assert preceq_fixpoint_wins(g, k) == res.cops_win
+                # the stabilized relation is the cops' winning region
+                # with the robber to move
+                assert preceq(g, k, n * n) == {
+                    (x, p)
+                    for p in res.positions
+                    for x in range(n)
+                    if res.is_cop_win(p, x, "robber")
+                }
 
 
 class TestTrapLink:

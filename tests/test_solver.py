@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import connected_graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
-from copwin.families import complete, cycle, path, petersen
+from copwin.families import complete, cycle, path, petersen, polarity
 from copwin.graphs import Graph, is_dismantlable
 from copwin.solver import (
     Arena,
@@ -14,9 +16,11 @@ from copwin.solver import (
     cops_win,
     optimal_robber_move,
     optimal_robber_placement,
+    preceq_fixpoint_wins,
     restricted_cop_number,
     teleport_cop_number,
 )
+from copwin.strategy import _GreedyRobber, _robber_policy, build_theorem1_plan
 
 
 class TestCopNumber:
@@ -75,7 +79,7 @@ class TestGameSemantics:
         r = optimal_robber_placement(res, pos)
         lv = res.level_of(pos, r, "cops")
         for _ in range(lv):
-            nxt = res.cop_strategy[(pos, r)]
+            nxt = res.cop_move(pos, r)
             assert res.level_of(nxt, r, "robber") < res.level_of(pos, r, "cops")
             pos = nxt
             if r in pos:
@@ -166,3 +170,22 @@ class TestTeleport:
             GameConfig(k=0)
         with pytest.raises(ValueError):
             GameConfig(variant="chess")
+
+
+def test_state_spaces_sized_before_allocation(petersen_graph):
+    # each call refuses, or falls back to the greedy robber, on arithmetic
+    # alone; building the positions it counts would take megabytes
+    er5 = polarity(5)
+    plan = build_theorem1_plan(er5)  # 7 cops: about 1e7 positions
+    tracemalloc.start()
+    try:
+        policy = _robber_policy(er5, plan, "optimal")
+        with pytest.raises(StateBudgetError):
+            cops_win(petersen_graph, GameConfig(k=10), budget=1000)
+        with pytest.raises(StateBudgetError):
+            preceq_fixpoint_wins(petersen_graph, 10, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(policy, _GreedyRobber)
+    assert peak < 1 << 20
