@@ -8,7 +8,8 @@ byte-identical across runs for identical inputs and flags (timings are
 only emitted under --timing).
 
 Exit codes: 0 success or report-only findings, 1 theorem-check
-violation, 2 usage error, 3 resource exhaustion.
+violation, 2 usage error or a solve record with status=error, 3 resource
+exhaustion.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .solver import (
     teleport_cop_number,
 )
 from .strategy import build_theorem1_plan, format_trace, simulate, verify_key_inequality
-from .traps import check_lemma4, count_alpha_traps, trap_report
+from .traps import check_lemma4, check_lemma5, trap_report
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -94,7 +95,7 @@ class SystemExit2(Exception):
 
 
 def cmd_solve(args, out):
-    unresolved = False
+    unresolved = errored = False
     for ok, item in _graph_source(args, SOLVER_SCAN_MAX_N):
         if not ok:
             _emit(out, item, args.json)
@@ -118,11 +119,14 @@ def cmd_solve(args, out):
         except CopwinError as e:
             rec["status"] = "error"
             rec["error"] = str(e)
+            errored = True
         if args.timing:
             rec["time"] = "%.3f" % (time.perf_counter() - t0)
         _emit(out, rec, args.json)
     # budget-capped solves are failures, not skips, as in scan
-    return EXIT_RESOURCE if unresolved else EXIT_OK
+    if unresolved:
+        return EXIT_RESOURCE
+    return EXIT_USAGE if errored else EXIT_OK
 
 
 def _scan_filter(check, g):
@@ -155,21 +159,8 @@ def _scan_one(check, g, budget):
         rec["bound"] = bound
         return rec, "pass" if check_lemma4(g) else "fail"
     if check == "lemma5":
-        lo = math.isqrt(n)
-        if lo * lo < n:
-            lo += 1
-        worst = None
-        okay = True
-        for alpha in range(lo, n + 1):
-            count = count_alpha_traps(g, alpha)
-            # exact check of count > alpha - sqrt(n - alpha) - 1
-            rhs = alpha - 1 - count
-            holds = rhs < 0 or n - alpha > rhs * rhs
-            okay = okay and holds
-            margin = count - (alpha - 1)  # integer part of the slack
-            if worst is None or margin < worst:
-                worst = margin
-        rec["min_margin"] = worst if worst is not None else ""
+        okay, worst = check_lemma5(n, trap_report(g)[0])
+        rec["min_margin"] = worst
         return rec, "pass" if okay else "fail"
     if check == "conj_sqrt_n":
         bound = math.isqrt(n)

@@ -9,7 +9,9 @@ Two enumeration styles:
 * ``connected_graph_classes(n)`` -- one canonically-labelled
   representative per isomorphism class, built by vertex augmentation
   with canonical-form dedup.  Scans that check isomorphism-invariant
-  properties run over these.
+  properties run over these.  Only augmentations whose new vertex has
+  minimum degree are tried: deleting a minimum-degree vertex from any
+  graph on n vertices leaves a graph on n - 1, so no class is missed.
 
 The canonical form is a minimum adjacency code over orderings that
 respect an iterated degree refinement.  Refinement only prunes the
@@ -38,7 +40,6 @@ def enumerate_connected(n, predicate=None):
         )
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     nbits = len(pairs)
-    full = (1 << n) - 1
     for mask in range(1 << nbits):
         adj = [0] * n
         m = mask
@@ -48,19 +49,8 @@ def enumerate_connected(n, predicate=None):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             m ^= low
-        # connectivity via bitmask closure
-        seen = 1
-        frontier = 1
-        while frontier:
-            new = 0
-            for v in bits(frontier):
-                new |= adj[v]
-            frontier = new & ~seen
-            seen |= new
-        if seen != full:
-            continue
         g = Graph.from_masks(adj)
-        if predicate is None or predicate(g):
+        if is_connected(g) and (predicate is None or predicate(g)):
             yield g
 
 
@@ -159,7 +149,15 @@ def graph_classes(n):
     reps = {}
     for base in graph_classes(n - 1):
         base_edges = base.edges()
+        degs = base.degrees()
+        # below[s]: mask of base vertices of degree < s
+        below = [sum(1 << u for u, d in enumerate(degs) if d < s) for s in range(n)]
         for nb_mask in range(1 << (n - 1)):
+            # the new vertex must have minimum degree s: every base vertex
+            # u needs deg(u) + [u in S] >= s
+            s = nb_mask.bit_count()
+            if below[s] & ~nb_mask or (s and below[s - 1]):
+                continue
             edges = base_edges + [(u, n - 1) for u in bits(nb_mask)]
             cg = canonical_graph(Graph(n, edges))
             reps.setdefault((cg.n, cg.adj), cg)

@@ -165,12 +165,12 @@ class SolveResult:
         self.cops_win = self.best_position is not None
 
     def is_cop_win(self, pos, r, turn):
-        p = self._index.get(tuple(pos))
+        p = self._index.get(tuple(sorted(pos)))
         return p is not None and bool(self._rounds[-1][_SIDE[turn]][p] >> r & 1)
 
     def level_of(self, pos, r, turn):
         """Optimal cop rounds to capture from a cop-winning state."""
-        p = self._index.get(tuple(pos))
+        p = self._index.get(tuple(sorted(pos)))
         if p is not None:
             side = _SIDE[turn]
             for lv, masks in enumerate(self._rounds):
@@ -189,7 +189,7 @@ class SolveResult:
         if self._successors is None:
             succ = (q for q, t in enumerate(self.positions) if r not in t)
         else:
-            succ = self._successors[self._index[tuple(pos)]]
+            succ = self._successors[self._index[tuple(sorted(pos))]]
         return next(self.positions[q] for q in succ if rob[q] >> r & 1)
 
     def robber_moves(self, r):
@@ -198,7 +198,7 @@ class SolveResult:
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
         placement is robber-win."""
-        p = self._index.get(tuple(pos))
+        p = self._index.get(tuple(sorted(pos)))
         if p is None:
             return None
         return next(
@@ -320,7 +320,6 @@ def optimal_robber_move(state, result):
 
 def optimal_robber_placement(result, pos):
     """Robber's best initial vertex against cop placement pos."""
-    pos = tuple(sorted(pos))
     best = None
     for r in result.arena_vertices:
         if not result.is_cop_win(pos, r, "cops"):

@@ -88,23 +88,25 @@ def _greedy_cover(edge_masks, n):
 
 
 def min_transversal(h):
-    """Exact minimum hitting set: (size, witness frozenset).
+    """Exact minimum hitting set: (size, witness frozenset)."""
+    edge_masks = [sum(1 << v for v in e) for e in h.edges]
+    size, witness = _min_transversal_masks(h.n, edge_masks)
+    return size, frozenset(witness)
+
+
+def _min_transversal_masks(n, edge_masks):
+    """Exact minimum hitting set of nonempty edge bitmasks over vertices
+    0..n-1: (size, witness list).
 
     Branch and bound on the max-degree vertex of a smallest uncovered
     edge; lower bound from a greedy disjoint-edge matching, upper bound
     seeded by greedy cover.
     """
-    if h.n > TRANSVERSAL_MAX_N or len(h.edges) > TRANSVERSAL_MAX_EDGES:
+    if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
             "transversal solver capped at n <= %d, m <= %d"
             % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
         )
-    edge_masks = []
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        edge_masks.append(mask)
     # dedup and drop supersets: an edge containing another is hit whenever
     # the smaller one is.
     edge_masks = sorted(set(edge_masks), key=lambda m: m.bit_count())
@@ -114,18 +116,18 @@ def min_transversal(h):
             kept.append(e)
     edge_masks = kept
     if not edge_masks:
-        return 0, frozenset()
+        return 0, []
 
-    greedy = _greedy_cover(edge_masks, h.n)
+    greedy = _greedy_cover(edge_masks, n)
     best_size = len(greedy)
-    best_set = frozenset(greedy)
+    best_set = greedy
 
     def branch(remaining, chosen):
         nonlocal best_size, best_set
         if not remaining:
             if len(chosen) < best_size:
                 best_size = len(chosen)
-                best_set = frozenset(chosen)
+                best_set = chosen[:]
             return
         if len(chosen) + _matching_lower_bound(remaining) >= best_size:
             return
@@ -163,14 +165,10 @@ def trap_threshold(g, v):
     """Minimum cop count on G - {v} controlling all neighbours of v."""
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
-    edges = []
-    for u in g.neighbors(v):
-        e = frozenset(w for w in range(g.n) if g.closed_mask(u) >> w & 1) - {v}
-        edges.append(e)
-    if not edges:
-        return 0
-    size, _ = min_transversal(Hypergraph(g.n, edges))
-    return size
+    # closed neighbourhoods of v's neighbours, v removed; each still
+    # holds its own u, so none is empty
+    edges = [(g.adj[u] | 1 << u) & ~(1 << v) for u in g.neighbors(v)]
+    return _min_transversal_masks(g.n, edges)[0]
 
 
 def is_s_trap(g, v, s):
@@ -187,18 +185,35 @@ def count_alpha_traps(g, alpha, check_range=False):
         raise ValueError(
             "alpha=%r outside [sqrt(n), n] for n=%d" % (alpha, g.n)
         )
-    return sum(1 for v in range(g.n) if is_s_trap(g, v, alpha))
+    return trap_report(g, alpha)[1]
+
+
+def _trap_count_bound_holds(n, alpha, count):
+    """Exact check of count > alpha - sqrt(n - alpha) - 1 for integer
+    alpha, done by comparing squares (no floating point)."""
+    # count > alpha - sqrt(n-alpha) - 1  <=>  sqrt(n-alpha) > alpha-1-count
+    rhs = alpha - 1 - count
+    return rhs < 0 or n - alpha > rhs * rhs
 
 
 def trap_count_lower_bound_holds(g, alpha):
-    """Exact check of count > alpha - sqrt(n - alpha) - 1 for integer
-    alpha, done by comparing squares (no floating point)."""
-    count = count_alpha_traps(g, alpha)
-    # count > alpha - sqrt(n-alpha) - 1  <=>  sqrt(n-alpha) > alpha-1-count
-    rhs = alpha - 1 - count
-    if rhs < 0:
-        return True
-    return g.n - alpha > rhs * rhs
+    """The trap-count lemma's bound for one integer alpha."""
+    return _trap_count_bound_holds(g.n, alpha, count_alpha_traps(g, alpha))
+
+
+def check_lemma5(n, thresholds):
+    """The trap-count lemma over every integer alpha in [sqrt(n), n],
+    from a graph's per-vertex thresholds: (holds, min_margin), where
+    min_margin is the least count - (alpha - 1)."""
+    lo = math.isqrt(n)
+    if lo * lo < n:
+        lo += 1
+    counts = [
+        (alpha, sum(1 for t in thresholds if t <= alpha))
+        for alpha in range(lo, n + 1)
+    ]
+    holds = all(_trap_count_bound_holds(n, a, c) for a, c in counts)
+    return holds, min(c - (a - 1) for a, c in counts)
 
 
 def check_lemma4(g):

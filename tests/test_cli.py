@@ -12,6 +12,7 @@ from copwin.cli import (
 )
 from copwin.families import petersen
 from copwin.graph6 import emit_graph6
+from copwin.graphs import Graph
 
 
 def run(argv):
@@ -71,6 +72,13 @@ class TestSolve:
     def test_nmax_cap(self):
         code, _ = run(["solve", "--nmax", "12"])
         assert code == EXIT_USAGE
+
+    def test_error_record_exits_usage(self, tmp_path):
+        p = tmp_path / "disconnected.g6"
+        p.write_text(emit_graph6(Graph(3, [(0, 1)])) + "\n")
+        code, text = run(["solve", "--input", str(p)])
+        assert code == EXIT_USAGE
+        assert "status=error" in text
 
 
 class TestScan:

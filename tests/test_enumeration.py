@@ -88,9 +88,10 @@ class TestClasses:
         for g in graph_classes(5):
             assert canonical_graph(g).adj == g.adj
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_classes_cover_labeled_enumeration(self, n):
-        # dedup must not drop any isomorphism class
+        # neither dedup nor the minimum-degree augmentation rule may drop
+        # an isomorphism class
         labeled_keys = {canonical_key(g) for g in enumerate_connected(n)}
         class_keys = {canonical_key(g) for g in connected_graph_classes(n)}
         assert labeled_keys == class_keys

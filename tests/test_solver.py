@@ -72,6 +72,12 @@ class TestGameSemantics:
         assert res.cops_win
         assert res.placement_value(res.best_position) is not None
 
+    def test_cop_positions_read_in_any_order(self):
+        res = cops_win(cycle(4), GameConfig(k=2))
+        assert res.is_cop_win((2, 0), 1, "cops") == res.is_cop_win((0, 2), 1, "cops")
+        assert res.placement_value((2, 0)) is not None
+        assert res.level_of((2, 0), 1, "cops") == res.level_of((0, 2), 1, "cops")
+
     def test_levels_monotone_along_cop_strategy(self):
         g = cycle(5)
         res = cops_win(g, GameConfig(k=2))

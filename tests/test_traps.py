@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copwin.enumeration import connected_graph_classes
 from copwin.families import complete, cycle, path, petersen
 from copwin.graphs import Graph
 from copwin.traps import (
     Hypergraph,
     check_lemma4,
+    check_lemma5,
     chvatal_bound,
     count_alpha_traps,
     is_s_trap,
@@ -149,6 +152,21 @@ class TestTrapThreshold:
     def test_leaf(self):
         assert trap_threshold(path(4), 0) == 1
 
+    def test_mask_kernel_matches_hypergraph_route(self):
+        # the threshold built as edge masks against the hypergraph of
+        # closed-neighbourhood frozensets minus v, and against brute force
+        for n in range(1, 7):
+            for g in connected_graph_classes(n):
+                for v in range(n):
+                    edges = [
+                        frozenset(w for w in range(n) if g.closed_mask(u) >> w & 1)
+                        - {v}
+                        for u in g.neighbors(v)
+                    ]
+                    h = Hypergraph(n, edges)
+                    want = min_transversal(h)[0]
+                    assert trap_threshold(g, v) == want == brute_transversal(h)
+
 
 class TestTrapPredicates:
     def test_is_s_trap_floor(self):
@@ -170,6 +188,16 @@ class TestTrapPredicates:
     def test_trap_count_lower_bound(self, petersen_graph):
         for alpha in range(4, 11):
             assert trap_count_lower_bound_holds(petersen_graph, alpha)
+
+    def test_check_lemma5_matches_per_alpha_counts(self):
+        # thresholds computed once against a fresh count per alpha
+        for n in range(1, 7):
+            lo = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+            for g in connected_graph_classes(n):
+                alphas = range(lo, n + 1)
+                margin = min(count_alpha_traps(g, a) - (a - 1) for a in alphas)
+                holds = all(trap_count_lower_bound_holds(g, a) for a in alphas)
+                assert check_lemma5(n, trap_report(g)[0]) == (holds, margin)
 
     def test_check_lemma4(self, petersen_graph):
         assert check_lemma4(petersen_graph)
