@@ -48,6 +48,7 @@ from .strategy import (
     format_trace,
     lemma2_move,
     simulate,
+    theorem1_applies,
     verify_key_inequality,
 )
 from .traps import (

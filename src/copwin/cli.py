@@ -8,8 +8,12 @@ byte-identical across runs for identical inputs and flags (timings are
 only emitted under --timing).
 
 Exit codes: 0 success or report-only findings, 1 theorem-check
-violation, 2 usage error or a solve record with status=error, 3 resource
-exhaustion.
+violation, 2 usage error or bad input, 3 resource exhaustion.  Every
+command that reads graphs (solve, scan, trap, simulate) decides its code
+by one rule: a line that fails to parse is reported in stream order and
+exits 2, as does a solve record with status=error; an unresolved
+(budget-capped) record exits 3; a theorem violation exits 1; and 1 wins
+over 3, which wins over 2.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
@@ -33,7 +38,13 @@ from .solver import (
     preceq_fixpoint_wins,
     teleport_cop_number,
 )
-from .strategy import build_theorem1_plan, format_trace, simulate, verify_key_inequality
+from .strategy import (
+    build_theorem1_plan,
+    format_trace,
+    simulate,
+    theorem1_applies,
+    verify_key_inequality,
+)
 from .traps import check_lemma4, check_lemma5, trap_report
 
 EXIT_OK = 0
@@ -48,59 +59,66 @@ SOLVER_CHECKS = ("theorem1", "conj_sqrt_n", "conj_teleport", "preceq_equiv")
 ALL_CHECKS = SOLVER_CHECKS + ("lemma4", "lemma5")
 
 
+def _kv(record):
+    return " ".join("%s=%s" % kv for kv in record.items())
+
+
 def _emit(out, record, as_json):
+    out.write((json.dumps(record) if as_json else _kv(record)) + "\n")
+
+
+def _summary(out, check, counts, as_json):
     if as_json:
-        out.write(json.dumps(record) + "\n")
+        _emit(out, {"summary": check, **counts}, True)
     else:
-        out.write(" ".join("%s=%s" % (k, v) for k, v in record.items()) + "\n")
+        out.write("# summary check=%s %s\n" % (check, _kv(counts)))
 
 
 def _fmt_diameter(d):
     return "inf" if d == math.inf else d
 
 
-def _iter_input_graphs(path):
-    """Yield (ok, graph-or-record) per input line; parse failures become
-    error records and the stream continues."""
-    with open(path) as fh:
+def _graphs(args, out, max_n, found):
+    """Yield the graphs a stream command reads: the --input file, or the
+    connected classes up to --nmax (default 6, at most max_n).
+
+    A line that fails to parse is emitted as a parse_error record in
+    stream order, adds EXIT_USAGE to found, and the stream goes on.  The
+    lines are read here rather than by graph6.read_graph6_lines, which
+    raises at the first bad line and knows no line numbers."""
+    if not args.input:
+        nmax = 6 if args.nmax is None else args.nmax
+        if nmax > max_n:
+            raise ValueError("nmax %d too large for this command (max %d)" % (nmax, max_n))
+        for n in range(1, nmax + 1):
+            yield from connected_graph_classes(n)
+        return
+    with open(args.input) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield True, parse_graph6(line)
+                g = parse_graph6(line)
             except Graph6Error as e:
-                yield False, {"line": lineno, "status": "parse_error", "error": str(e)}
+                _emit(out, {"line": lineno, "status": "parse_error", "error": str(e)}, args.json)
+                found.add(EXIT_USAGE)
+                continue
+            yield g
 
 
-def _graph_source(args, max_n):
-    if args.input:
-        for ok, item in _iter_input_graphs(args.input):
-            yield ok, item
-    else:
-        nmax = args.nmax
-        if nmax is None:
-            nmax = 6
-        if nmax > max_n:
-            raise SystemExit2(
-                "nmax %d too large for this command (max %d)" % (nmax, max_n)
-            )
-        for n in range(1, nmax + 1):
-            for g in connected_graph_classes(n):
-                yield True, g
-
-
-class SystemExit2(Exception):
-    """Usage error detected past argparse."""
+def _exit_code(found):
+    """The exit code of a run whose records added these codes to found:
+    a violation wins over resource exhaustion, which wins over bad input."""
+    for code in (EXIT_VIOLATION, EXIT_RESOURCE, EXIT_USAGE):
+        if code in found:
+            return code
+    return EXIT_OK
 
 
 def cmd_solve(args, out):
-    unresolved = errored = False
-    for ok, item in _graph_source(args, SOLVER_SCAN_MAX_N):
-        if not ok:
-            _emit(out, item, args.json)
-            continue
-        g = item
+    found = set()
+    for g in _graphs(args, out, SOLVER_SCAN_MAX_N, found):
         rec = {"graph": emit_graph6(g), "n": g.n}
         t0 = time.perf_counter()
         try:
@@ -113,27 +131,23 @@ def cmd_solve(args, out):
             rec["status"] = "ok"
         except StateBudgetError as e:
             rec["status"] = "unresolved"
-            unresolved = True
+            found.add(EXIT_RESOURCE)  # budget-capped solves are failures, not skips
             if e.lower_bound is not None:
                 rec["c_lower_bound"] = e.lower_bound
         except CopwinError as e:
             rec["status"] = "error"
             rec["error"] = str(e)
-            errored = True
+            found.add(EXIT_USAGE)
         if args.timing:
             rec["time"] = "%.3f" % (time.perf_counter() - t0)
         _emit(out, rec, args.json)
-    # budget-capped solves are failures, not skips, as in scan
-    if unresolved:
-        return EXIT_RESOURCE
-    return EXIT_USAGE if errored else EXIT_OK
+    return _exit_code(found)
 
 
 def _scan_filter(check, g):
     """Graph filters per check, mirroring the theorems' hypotheses."""
-    if check in ("theorem1",):
-        d = diameter(g)
-        return d <= 2 or (d == 3 and is_bipartite(g))
+    if check == "theorem1":
+        return theorem1_applies(g)
     if check in ("conj_sqrt_n", "conj_teleport"):
         return diameter(g) <= 2
     return True  # lemma4, lemma5, preceq_equiv: all connected graphs
@@ -185,7 +199,7 @@ def _scan_one(check, g, budget):
                 rec["k"] = k
                 return rec, "fail"
         return rec, "pass"
-    raise SystemExit2("unknown check %r" % check)
+    raise ValueError("unknown check %r" % check)
 
 
 def cmd_scan(args, out):
@@ -197,64 +211,42 @@ def cmd_scan(args, out):
     if args.input:
         header["input"] = args.input
     if not args.json:
-        out.write("# " + " ".join("%s=%s" % kv for kv in header.items()) + "\n")
-    checked = violations = candidates = unresolved = 0
-    for ok, item in _graph_source(args, max_n):
-        if not ok:
-            _emit(out, item, args.json)
-            continue
-        g = item
+        out.write("# " + _kv(header) + "\n")
+    verdicts = Counter()
+    found = set()
+    for g in _graphs(args, out, max_n, found):
         if not _scan_filter(check, g):
             continue
-        checked += 1
         try:
             rec, verdict = _scan_one(check, g, args.budget)
-        except StateBudgetError as e:
-            rec = {"graph": emit_graph6(g), "n": g.n}
-            verdict = "unresolved"
+        except StateBudgetError:
+            rec, verdict = {"graph": emit_graph6(g), "n": g.n}, "unresolved"
         rec["verdict"] = verdict
-        if verdict == "fail":
-            violations += 1
-        elif verdict == "candidate":
-            candidates += 1
-        elif verdict == "unresolved":
-            unresolved += 1
+        verdicts[verdict] += 1
         if args.all or verdict not in ("pass", "report"):
             _emit(out, rec, args.json)
-    summary = {
-        "summary": check,
-        "checked": checked,
-        "violations": violations,
-        "candidates": candidates,
-        "unresolved": unresolved,
-    }
-    if args.json:
-        _emit(out, summary, True)
-    else:
-        out.write(
-            "# summary check=%s checked=%d violations=%d candidates=%d unresolved=%d\n"
-            % (check, checked, violations, candidates, unresolved)
-        )
-    if violations:
-        return EXIT_VIOLATION
-    if unresolved:
-        return EXIT_RESOURCE  # budget-capped solves are failures, not skips
-    return EXIT_OK
+    _summary(out, check, {
+        "checked": sum(verdicts.values()),
+        "violations": verdicts["fail"],
+        "candidates": verdicts["candidate"],
+        "unresolved": verdicts["unresolved"],
+    }, args.json)
+    if verdicts["fail"]:
+        found.add(EXIT_VIOLATION)
+    if verdicts["unresolved"]:
+        found.add(EXIT_RESOURCE)  # budget-capped solves are failures, not skips
+    return _exit_code(found)
 
 
 def cmd_gen(args, out):
-    fam = GraphFamily(args.family, args.param)
-    g = generate(fam)
-    out.write(emit_graph6(g, max_n=max(g.n, 64)) + "\n")
+    g = generate(GraphFamily(args.family, args.param))
+    out.write(emit_graph6(g) + "\n")  # under the cap every reader applies
     return EXIT_OK
 
 
 def cmd_trap(args, out):
-    for ok, item in _graph_source(args, TRAP_SCAN_MAX_N):
-        if not ok:
-            _emit(out, item, args.json)
-            continue
-        g = item
+    found = set()
+    for g in _graphs(args, out, TRAP_SCAN_MAX_N, found):
         alpha = args.alpha if args.alpha is not None else float(math.isqrt(g.n))
         thresholds, count = trap_report(g, alpha)
         rec = {
@@ -265,33 +257,28 @@ def cmd_trap(args, out):
             "alpha_traps": count,
         }
         _emit(out, rec, args.json)
-    return EXIT_OK
+    return _exit_code(found)
 
 
 def cmd_ineq(args, out):
     bad = verify_key_inequality(args.mmax)
     for m in bad:
         _emit(out, {"m": m, "verdict": "fail"}, args.json)
-    rec = {"summary": "ineq", "mmax": args.mmax, "violations": len(bad)}
-    if args.json:
-        _emit(out, rec, True)
-    else:
-        out.write("# summary check=ineq mmax=%d violations=%d\n" % (args.mmax, len(bad)))
+    _summary(out, "ineq", {"mmax": args.mmax, "violations": len(bad)}, args.json)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
 def cmd_simulate(args, out):
-    for ok, item in _graph_source(args, SOLVER_SCAN_MAX_N):
-        if not ok:
-            _emit(out, item, args.json)
-            continue
-        g = item
+    found = set()
+    for g in _graphs(args, out, SOLVER_SCAN_MAX_N, found):
+        if not theorem1_applies(g):
+            continue  # the plan exists only under theorem 1's hypothesis
         plan = build_theorem1_plan(g)
         trace = simulate(g, plan, robber_policy=args.robber,
                          max_rounds=args.max_rounds)
         out.write("graph %s cops=%d\n" % (emit_graph6(g), plan.total_cops))
         out.write(format_trace(trace))
-    return EXIT_OK
+    return _exit_code(found)
 
 
 def build_parser():
@@ -301,19 +288,18 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, nmax_default=None):
+    def common(sp):
         sp.add_argument("--input", help="graph6 file, one graph per line")
-        sp.add_argument("--nmax", type=int, default=nmax_default,
+        sp.add_argument("--nmax", type=int,
                         help="built-in enumeration bound (connected graphs)")
-        sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                        help="state budget per solve")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--timing", action="store_true")
-        sp.add_argument("--allow-disconnected", action="store_true")
 
     sp = sub.add_parser("solve", help="cop numbers for a graph6 stream")
     common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+                    help="state budget per solve")
+    sp.add_argument("--timing", action="store_true")
+    sp.add_argument("--allow-disconnected", action="store_true")
     sp.add_argument("--variant", choices=("standard", "teleport"),
                     default="standard",
                     help="teleport additionally reports c_T")
@@ -322,6 +308,9 @@ def build_parser():
 
     sp = sub.add_parser("scan", help="theorem and conjecture scans")
     common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+                    help="state budget per solve")
+    sp.add_argument("--seed", type=int, default=0, help="echoed in the header")
     sp.add_argument("--check", required=True, choices=ALL_CHECKS)
     sp.add_argument("--all", action="store_true",
                     help="emit passing records too, not just findings")
@@ -330,7 +319,6 @@ def build_parser():
     sp = sub.add_parser("gen", help="emit a generated family graph")
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--param", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("trap", help="per-vertex trap thresholds")
@@ -357,9 +345,6 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except SystemExit2 as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
     except StateBudgetError as e:
         print("resource error: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE

@@ -73,24 +73,24 @@ class StrategyTrace:
     max_rounds: int
 
 
-def _check_plan_precondition(g):
-    if not is_connected(g):
-        raise ValueError("plan requires a connected graph")
+def theorem1_applies(g):
+    """Theorem 1's hypothesis: g is connected, and has diameter <= 2 or is
+    bipartite of diameter 3.  A disconnected graph has infinite diameter,
+    so the diameter test also rules it out."""
     d = diameter(g)
-    if d <= 2:
-        return
-    if d == 3 and is_bipartite(g):
-        return
-    raise ValueError(
-        "plan requires diameter <= 2, or a bipartite graph of diameter 3 "
-        "(got diameter %s)" % d
-    )
+    return d <= 2 or (d == 3 and is_bipartite(g))
 
 
 def build_theorem1_plan(g):
     """Park stationary cops on high-degree vertices until the residual
     arena has bounded degree, then budget mobile cops for the chase."""
-    _check_plan_precondition(g)
+    if not theorem1_applies(g):
+        if not is_connected(g):
+            raise ValueError("plan requires a connected graph")
+        raise ValueError(
+            "plan requires diameter <= 2, or a bipartite graph of diameter 3 "
+            "(got diameter %s)" % diameter(g)
+        )
     alive = set(range(g.n))
     guards = []
     stage = 0

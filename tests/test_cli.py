@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -10,8 +11,8 @@ from copwin.cli import (
     EXIT_VIOLATION,
     main,
 )
-from copwin.families import petersen
-from copwin.graph6 import emit_graph6
+from copwin.families import cycle, petersen
+from copwin.graph6 import emit_graph6, parse_graph6
 from copwin.graphs import Graph
 
 
@@ -25,6 +26,13 @@ def run(argv):
 def petersen_file(tmp_path):
     p = tmp_path / "g.g6"
     p.write_text(emit_graph6(petersen()) + "\n")
+    return str(p)
+
+
+@pytest.fixture
+def bad_file(tmp_path):
+    p = tmp_path / "bad.g6"
+    p.write_text("!!\nC~\n")  # a line that fails to parse, then K4
     return str(p)
 
 
@@ -79,6 +87,23 @@ class TestSolve:
         code, text = run(["solve", "--input", str(p)])
         assert code == EXIT_USAGE
         assert "status=error" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["scan", "--check", "lemma4", "--all"], ["trap"], ["simulate"],
+])
+def test_bad_input_line_reported_and_exits_usage(bad_file, argv):
+    code, text = run(argv + ["--input", bad_file])
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    assert lines[0].startswith("line=1 status=parse_error error=")
+    assert "C~" in lines[1]  # the stream goes on
+    assert code == EXIT_USAGE
+
+
+def test_resource_exit_wins_over_bad_input(bad_file):
+    code, text = run(["solve", "--budget", "10", "--input", bad_file])
+    assert "status=parse_error" in text and "status=unresolved" in text
+    assert code == EXIT_RESOURCE
 
 
 class TestScan:
@@ -141,9 +166,18 @@ class TestGen:
         assert code == EXIT_USAGE
 
     def test_large_graph_uses_extended_header(self):
-        code, text = run(["gen", "--family", "hoffman_singleton"])
+        code, text = run(["gen", "--family", "cycle", "--param", "64"])
         assert code == EXIT_OK
-        assert text.strip()
+        line = text.strip()
+        assert line[0] == "~"  # n > 62 takes the 4-byte header
+        assert parse_graph6(line) == cycle(64)
+
+    def test_above_reader_cap_exits_usage(self, capsys):
+        """gen writes only what every reader accepts (n <= 64)."""
+        code, text = run(["gen", "--family", "cycle", "--param", "65"])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "exceeds cap 64" in capsys.readouterr().err
 
 
 class TestTrap:
@@ -175,6 +209,17 @@ class TestSimulate:
         code, text = run(["simulate", "--input", petersen_file])
         assert code == EXIT_OK
         assert "captured round=" in text
+
+    def test_builtin_enumeration_skips_graphs_outside_theorem1(self):
+        """--nmax walks every connected class; the plan needs theorem 1's
+        hypothesis, so the others (the first is a triangle with a
+        two-edge tail, n=5) are skipped, not fatal."""
+        code, text = run(["simulate", "--nmax", "5"])
+        assert code == EXIT_OK
+        golden = os.path.join(os.path.dirname(__file__), "data", "cli_golden",
+                              "simulate_theorem1_le5.txt")
+        with open(golden, newline="") as fh:
+            assert text == fh.read()
 
     def test_greedy_robber(self, petersen_file):
         code, text = run(["simulate", "--input", petersen_file, "--robber", "greedy"])

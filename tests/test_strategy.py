@@ -10,6 +10,7 @@ from copwin.strategy import (
     format_trace,
     lemma2_move,
     simulate,
+    theorem1_applies,
     verify_key_inequality,
 )
 from copwin.solver import Arena
@@ -23,6 +24,29 @@ class TestPlanBuilder:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             build_theorem1_plan(Graph(3, [(0, 1)]))
+
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError, match="plan requires a connected graph"):
+            build_theorem1_plan(Graph(3, [(0, 1)]))
+        with pytest.raises(ValueError, match=r"diameter <= 2, .*\(got diameter 3\)"):
+            # a triangle with a two-edge tail: diameter 3, not bipartite
+            build_theorem1_plan(Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]))
+
+    def test_theorem1_applies_is_the_plan_precondition(self):
+        """One predicate: connected, and diameter <= 2 or bipartite of
+        diameter 3; the plan builder accepts exactly those graphs."""
+        graphs = [Graph(3, [(0, 1)]), Graph(4, [(0, 1), (2, 3)])]
+        graphs += [g for n in range(1, 7) for g in connected_graph_classes(n)]
+        for g in graphs:
+            d = diameter(g)
+            want = d <= 2 or (d == 3 and is_bipartite(g))
+            assert theorem1_applies(g) == want
+            try:
+                build_theorem1_plan(g)
+                built = True
+            except ValueError:
+                built = False
+            assert built == want
 
     def test_accepts_bipartite_diameter_three(self, heawood_graph):
         plan = build_theorem1_plan(heawood_graph)
