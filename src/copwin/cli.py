@@ -79,20 +79,29 @@ def _fmt_diameter(d):
 
 
 def _graphs(args, out, max_n, found):
-    """Yield the graphs a stream command reads: the --input file, or the
-    connected classes up to --nmax (default 6, at most max_n).
+    """The graphs a stream command reads: the --input file, or the
+    connected classes up to --nmax (default 6, in 1..max_n).  The flags
+    are checked here, before the command writes anything; --nmax and
+    --input cannot be used together.
 
     A line that fails to parse is emitted as a parse_error record in
-    stream order, adds EXIT_USAGE to found, and the stream goes on.  The
-    lines are read here rather than by graph6.read_graph6_lines, which
-    raises at the first bad line and knows no line numbers."""
-    if not args.input:
-        nmax = 6 if args.nmax is None else args.nmax
-        if nmax > max_n:
-            raise ValueError("nmax %d too large for this command (max %d)" % (nmax, max_n))
-        for n in range(1, nmax + 1):
-            yield from connected_graph_classes(n)
-        return
+    stream order, adds EXIT_USAGE to found, and the stream goes on."""
+    if args.nmax is not None:
+        if args.input:
+            raise ValueError("--nmax cannot be used with --input")
+        if not 1 <= args.nmax <= max_n:
+            raise ValueError("--nmax %d out of range for this command (1..%d)"
+                             % (args.nmax, max_n))
+    if args.input:
+        return _read_input(args, out, found)
+    nmax = 6 if args.nmax is None else args.nmax
+    return (g for n in range(1, nmax + 1) for g in connected_graph_classes(n))
+
+
+def _read_input(args, out, found):
+    """Yield the graphs of the --input file.  The lines are read here
+    rather than by graph6.read_graph6_lines, which raises at the first
+    bad line and knows no line numbers."""
     with open(args.input) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -205,6 +214,8 @@ def _scan_one(check, g, budget):
 def cmd_scan(args, out):
     check = args.check
     max_n = TRAP_SCAN_MAX_N if check in ("lemma4", "lemma5") else SOLVER_SCAN_MAX_N
+    found = set()
+    graphs = _graphs(args, out, max_n, found)
     header = {"check": check, "seed": args.seed}
     if args.nmax is not None:
         header["nmax"] = args.nmax
@@ -213,8 +224,7 @@ def cmd_scan(args, out):
     if not args.json:
         out.write("# " + _kv(header) + "\n")
     verdicts = Counter()
-    found = set()
-    for g in _graphs(args, out, max_n, found):
+    for g in graphs:
         if not _scan_filter(check, g):
             continue
         try:

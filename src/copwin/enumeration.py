@@ -129,13 +129,9 @@ def canonical_graph(g):
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    edges = [(pos[u], pos[v]) for u, v in g.edges()]
-    return Graph(g.n, edges)
-
-
-def canonical_key(g):
-    cg = canonical_graph(g)
-    return (cg.n, cg.adj)
+    return Graph.from_masks(
+        [sum(1 << pos[u] for u in bits(g.adj[v])) for v in order]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +142,9 @@ def graph_classes(n):
         raise ValueError("n must be >= 1")
     if n == 1:
         return (Graph(1),)
-    reps = {}
+    reps = set()
+    new_bit = 1 << (n - 1)
     for base in graph_classes(n - 1):
-        base_edges = base.edges()
         degs = base.degrees()
         # below[s]: mask of base vertices of degree < s
         below = [sum(1 << u for u, d in enumerate(degs) if d < s) for s in range(n)]
@@ -158,10 +154,12 @@ def graph_classes(n):
             s = nb_mask.bit_count()
             if below[s] & ~nb_mask or (s and below[s - 1]):
                 continue
-            edges = base_edges + [(u, n - 1) for u in bits(nb_mask)]
-            cg = canonical_graph(Graph(n, edges))
-            reps.setdefault((cg.n, cg.adj), cg)
-    return tuple(sorted(reps.values(), key=lambda g: g.adj))
+            masks = [
+                m | new_bit if nb_mask >> u & 1 else m for u, m in enumerate(base.adj)
+            ]
+            masks.append(nb_mask)
+            reps.add(canonical_graph(Graph.from_masks(masks)))
+    return tuple(sorted(reps, key=lambda g: g.adj))
 
 
 @lru_cache(maxsize=None)

@@ -69,13 +69,13 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
             "trailing bytes after adjacency section", offset=body_base + need
         )
 
-    edges = []
+    adj = [0] * n
     bit = 0
     for col in range(1, n):
         for row in range(col):
-            chunk = body[bit // 6]
-            if (chunk >> (5 - bit % 6)) & 1:
-                edges.append((row, col))
+            if body[bit // 6] >> (5 - bit % 6) & 1:
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
             bit += 1
     # padding bits must be zero for a canonical line; tolerate nonzero? No:
     # reject, so that parse/emit is bit-exact.
@@ -84,7 +84,7 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
         if (chunk >> (5 - bit % 6)) & 1:
             raise Graph6Error("nonzero padding bit", offset=body_base + bit // 6)
         bit += 1
-    return Graph(n, edges)
+    return Graph.from_masks(adj)
 
 
 def emit_graph6(g, max_n=DEFAULT_MAX_N):

@@ -3,12 +3,15 @@
 Vertices are 0..n-1.  Adjacency rows are Python ints used as bitsets, so
 graphs well beyond 64 vertices work without a separate representation;
 the 64-vertex figure only appears as the default parser cap in graph6.
+
+One breadth-first walk, ``layers``, yields the distance layers from a
+source as bitmasks; reachability, distances, diameter, bipartiteness and
+girth are each a few lines on top of it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import DisconnectedGraphError
 
@@ -100,16 +103,22 @@ def bits(mask):
         mask ^= low
 
 
-def reachable_mask(g, start):
-    seen = 1 << start
-    frontier = seen
+def layers(g, src):
+    """The BFS layers from src as bitmasks: {src}, then the vertices at
+    distance 1, 2, ... from it; every distance question below reads them."""
+    adj = g.adj
+    seen = frontier = 1 << src
     while frontier:
+        yield frontier
         new = 0
         for v in bits(frontier):
-            new |= g.adj[v]
+            new |= adj[v]
         frontier = new & ~seen
-        seen |= new
-    return seen
+        seen |= frontier
+
+
+def reachable_mask(g, start):
+    return sum(layers(g, start))  # the layers are disjoint
 
 
 def is_connected(g):
@@ -119,81 +128,61 @@ def is_connected(g):
 def bfs_distances(g, src):
     """Shortest-path distances from src; -1 for unreachable vertices."""
     dist = [-1] * g.n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        new = 0
-        for v in bits(frontier):
-            new |= g.adj[v]
-        new &= ~seen
-        for v in bits(new):
+    for d, layer in enumerate(layers(g, src)):
+        for v in bits(layer):
             dist[v] = d
-        seen |= new
-        frontier = new
     return dist
-
-
-def eccentricity(g, v):
-    dist = bfs_distances(g, v)
-    if -1 in dist:
-        return math.inf
-    return max(dist)
 
 
 def diameter(g):
     """Max shortest-path distance over vertex pairs; math.inf if disconnected."""
+    full = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        e = eccentricity(g, v)
-        if e == math.inf:
+        walk = list(layers(g, v))
+        if sum(walk) != full:
             return math.inf
-        if e > best:
-            best = e
+        best = max(best, len(walk) - 1)
     return best
 
 
 def is_bipartite(g):
-    color = [-1] * g.n
+    """No edge joins two vertices of one BFS layer, in every component."""
+    seen = 0
     for s in range(g.n):
-        if color[s] != -1:
+        if seen >> s & 1:
             continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
+        for layer in layers(g, s):
+            seen |= layer
+            if any(g.adj[v] & layer for v in bits(layer)):
+                return False
     return True
 
 
 def girth(g):
-    """Length of a shortest cycle; math.inf for forests."""
+    """Length of a shortest cycle; math.inf for forests.
+
+    From each source, the first layer d holding a vertex with two
+    neighbours in layer d - 1 closes a cycle of length 2d; failing that,
+    an edge inside layer d closes one of length 2d + 1.  Either closed
+    walk holds a cycle no longer than itself, and a source on a shortest
+    cycle finds exactly its length, so the least value over all sources
+    is the girth.
+    """
+    adj = g.adj
     best = math.inf
     for s in range(g.n):
-        # BFS from s; a non-tree edge at depths (d1, d2) closes a cycle
-        # through s of length d1 + d2 + 1.
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cand = dist[u] + dist[v] + 1
-                    if cand < best:
-                        best = cand
+        prev = 0
+        for d, layer in enumerate(layers(g, s)):
+            if 2 * d >= best:
+                break
+            if any((adj[v] & prev).bit_count() > 1 for v in bits(layer)):
+                best = 2 * d
+                break
+            if any(adj[v] & layer for v in bits(layer)):
+                best = 2 * d + 1
+                break
+            prev = layer
     return best
 
 

@@ -141,16 +141,16 @@ class SolveResult:
     """
 
     def __init__(
-        self, g, cfg, positions, arena_vertices, rob_moves, successors, rounds
+        self, g, cfg, positions, index, arena_vertices, rob_moves, successors, rounds
     ):
         self.g = g
         self.cfg = cfg
         self.positions = positions
+        self._index = index  # position -> its index in positions
         self.arena_vertices = arena_vertices
         self._rob_moves = rob_moves  # arena vertex -> mask of destinations
         self._successors = successors  # cop-move table; None under teleport
         self._rounds = rounds
-        self._index = {t: i for i, t in enumerate(positions)}
         self._full = sum(1 << v for v in arena_vertices)
         # the cops place where the whole arena is won soonest
         self.best_position = next(
@@ -226,11 +226,10 @@ def _occupancy(positions):
     return out
 
 
-def _successors(g, positions):
+def _successors(g, positions, index):
     """Cop-move table: for each position, the sorted indices of the
     positions the team reaches in one move (each cop moves along an edge
-    or stays)."""
-    index = {t: i for i, t in enumerate(positions)}
+    or stays).  index maps each position to its place in positions."""
     moves = [[v] + g.neighbors(v) for v in range(g.n)]
     return [
         sorted({index[tuple(sorted(c))] for c in product(*(moves[v] for v in t))})
@@ -251,6 +250,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
     arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
     arena.validate_against(g)
     positions = _positions(g.n, cfg.k, len(arena.vertices) * 2, budget)
+    index = {t: i for i, t in enumerate(positions)}
     occ = _occupancy(positions)
     amask = sum(1 << v for v in arena.vertices)
     rob_moves = {
@@ -268,7 +268,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
                 d |= g.adj[c] if cfg.teleport_open_neighborhood else g.closed_mask(c)
             cop.append(d & amask)
     else:
-        successors = _successors(g, positions)
+        successors = _successors(g, positions, index)
         cop = caught
 
     rounds = []
@@ -296,7 +296,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
             break
         cop = nxt
     return SolveResult(
-        g, cfg, tuple(positions), arena.vertices, rob_moves, successors, rounds
+        g, cfg, tuple(positions), index, arena.vertices, rob_moves, successors, rounds
     )
 
 
@@ -433,7 +433,7 @@ def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
     n = g.n
     positions = _positions(n, k, n, budget)
     P = len(positions)
-    pos_succ = _successors(g, positions)
+    pos_succ = _successors(g, positions, {t: i for i, t in enumerate(positions)})
     occ = _occupancy(positions)
 
     chain = [list(occ)]

@@ -65,12 +65,15 @@ class CopPlan:
 class StrategyTrace:
     """One simulated play-out.  rounds[i] = (round index, cop tuple after
     the cops' move, robber vertex after his reply); round 0 records the
-    initial placement."""
+    initial placement.  robber_policy names the policy that actually
+    played: "optimal" falls back to "greedy" when the solve table would
+    exceed OPTIMAL_ROBBER_STATE_CAP."""
 
     rounds: tuple
     outcome: str  # "captured" | "survived"
     capture_round: int | None
     max_rounds: int
+    robber_policy: str  # "optimal" | "greedy"
 
 
 def theorem1_applies(g):
@@ -161,6 +164,8 @@ def lemma2_move(g, arena, cop_list, robber):
 class _GreedyRobber:
     """Max distance-to-nearest-cop policy, lowest label on ties."""
 
+    name = "greedy"
+
     def __init__(self, g):
         self.g = g
         self.dist = [bfs_distances(g, v) for v in range(g.n)]
@@ -178,6 +183,8 @@ class _GreedyRobber:
 
 class _TableRobber:
     """Exactly-optimal robber driven by full-game solve tables."""
+
+    name = "optimal"
 
     def __init__(self, g, k, budget):
         self.result = cops_win(g, GameConfig(k=k), budget=budget)
@@ -224,8 +231,14 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
 
     robber = policy.place(cop_list)
     rounds = [(0, tuple(cop_list), robber)]
+
+    def trace(outcome, capture_round):
+        return StrategyTrace(
+            tuple(rounds), outcome, capture_round, max_rounds, policy.name
+        )
+
     if robber in cop_list:
-        return StrategyTrace(tuple(rounds), "captured", 0, max_rounds)
+        return trace("captured", 0)
 
     for rnd in range(1, max_rounds + 1):
         # cops' move
@@ -246,13 +259,13 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
         cop_list = new_cops
         if captured:
             rounds.append((rnd, tuple(cop_list), robber))
-            return StrategyTrace(tuple(rounds), "captured", rnd, max_rounds)
+            return trace("captured", rnd)
         # robber's move
         robber = policy.move(robber, cop_list)
         rounds.append((rnd, tuple(cop_list), robber))
         if robber in cop_list:
-            return StrategyTrace(tuple(rounds), "captured", rnd, max_rounds)
-    return StrategyTrace(tuple(rounds), "survived", None, max_rounds)
+            return trace("captured", rnd)
+    return trace("survived", None)
 
 
 def format_trace(trace):

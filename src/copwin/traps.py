@@ -72,21 +72,6 @@ def _matching_lower_bound(edge_masks):
     return count
 
 
-def _greedy_cover(edge_masks, n):
-    """Greedy max-degree hitting set; upper bound and witness seed."""
-    remaining = list(edge_masks)
-    chosen = []
-    while remaining:
-        best_v, best_hits = -1, -1
-        for v in range(n):
-            hits = sum(1 for e in remaining if e >> v & 1)
-            if hits > best_hits:
-                best_v, best_hits = v, hits
-        chosen.append(best_v)
-        remaining = [e for e in remaining if not (e >> best_v & 1)]
-    return chosen
-
-
 def min_transversal(h):
     """Exact minimum hitting set: (size, witness frozenset)."""
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
@@ -99,8 +84,9 @@ def _min_transversal_masks(n, edge_masks):
     0..n-1: (size, witness list).
 
     Branch and bound on the max-degree vertex of a smallest uncovered
-    edge; lower bound from a greedy disjoint-edge matching, upper bound
-    seeded by greedy cover.
+    edge; lower bound from a greedy disjoint-edge matching.  The bound
+    starts at m + 1, since one vertex per edge always hits every edge,
+    so the first descent is never pruned and finds the first cover.
     """
     if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
@@ -118,9 +104,8 @@ def _min_transversal_masks(n, edge_masks):
     if not edge_masks:
         return 0, []
 
-    greedy = _greedy_cover(edge_masks, n)
-    best_size = len(greedy)
-    best_set = greedy
+    best_size = len(edge_masks) + 1
+    best_set = None
 
     def branch(remaining, chosen):
         nonlocal best_size, best_set

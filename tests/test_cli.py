@@ -100,6 +100,28 @@ def test_bad_input_line_reported_and_exits_usage(bad_file, argv):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["scan", "--check", "lemma4"], ["trap"], ["simulate"],
+])
+def test_nmax_with_input_exits_usage(petersen_file, argv, capsys):
+    """--nmax reads the built-in enumeration, so it cannot bound a file."""
+    code, text = run(argv + ["--input", petersen_file, "--nmax", "2"])
+    assert code == EXIT_USAGE
+    assert text == ""  # not even the scan header
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--nmax", "-3"], ["trap", "--nmax", "0"],
+    ["scan", "--check", "theorem1", "--nmax", "0"], ["simulate", "--nmax", "0"],
+])
+def test_nmax_below_one_exits_usage(argv, capsys):
+    code, text = run(argv)
+    assert code == EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_resource_exit_wins_over_bad_input(bad_file):
     code, text = run(["solve", "--budget", "10", "--input", bad_file])
     assert "status=parse_error" in text and "status=unresolved" in text

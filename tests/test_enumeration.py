@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import (
     canonical_graph,
-    canonical_key,
     connected_graph_classes,
     enumerate_connected,
     graph_classes,
 )
+from copwin.graph6 import emit_graph6
 from copwin.graphs import Graph, is_connected
+
+# graph6 line of each connected class for n = 1..7, in enumeration order
+CONNECTED_LE7 = os.path.join(os.path.dirname(__file__), "data", "connected_classes_le7.g6")
 
 
 # labeled connected graph counts; n=3 by hand (path x3 + triangle), n=4 by
@@ -65,12 +69,12 @@ class TestCanonical:
         g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
         perm = list(range(n))
         rnd.shuffle(perm)
-        assert canonical_key(g) == canonical_key(relabel(g, perm))
+        assert canonical_graph(g) == canonical_graph(relabel(g, perm))
 
     def test_distinguishes_nonisomorphic(self):
         g1 = Graph(4, [(0, 1), (1, 2), (2, 3)])  # path
         g2 = Graph(4, [(0, 1), (0, 2), (0, 3)])  # star
-        assert canonical_key(g1) != canonical_key(g2)
+        assert canonical_graph(g1) != canonical_graph(g2)
 
     def test_idempotent(self):
         g = Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3)])
@@ -92,6 +96,15 @@ class TestClasses:
     def test_classes_cover_labeled_enumeration(self, n):
         # neither dedup nor the minimum-degree augmentation rule may drop
         # an isomorphism class
-        labeled_keys = {canonical_key(g) for g in enumerate_connected(n)}
-        class_keys = {canonical_key(g) for g in connected_graph_classes(n)}
+        labeled_keys = {canonical_graph(g) for g in enumerate_connected(n)}
+        class_keys = {canonical_graph(g) for g in connected_graph_classes(n)}
         assert labeled_keys == class_keys
+
+    def test_connected_classes_match_pinned_corpus(self):
+        """Representatives and their order are pinned byte for byte up to
+        n = 7, one past the CLI golden files, so a relabelling shows."""
+        text = "".join(
+            emit_graph6(g) + "\n" for n in range(1, 8) for g in connected_graph_classes(n)
+        )
+        with open(CONNECTED_LE7, newline="") as fh:
+            assert text == fh.read()

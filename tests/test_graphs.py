@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from copwin.errors import DisconnectedGraphError
 from copwin.families import complete, cycle, path
@@ -28,6 +28,30 @@ def random_graph(draw, max_n=8):
 @st.composite
 def graph_strategy(draw, max_n=8):
     return random_graph(draw, max_n)
+
+
+@st.composite
+def sparse_graph_strategy(draw, max_n=10):
+    """Graphs with n to n + 3 edges, so that cycles longer than a triangle
+    come up often (a uniform adjacency mask nearly always has a triangle)."""
+    n = draw(st.integers(3, max_n))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=n + 3, unique=True))
+    return Graph(n, edges)
+
+
+def floyd_warshall(n, edges):
+    """All-pairs distances from an edge list, math.inf when unreachable;
+    shares no code with the breadth-first walk under test."""
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for u, v in edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
 
 
 class TestGraphBasics:
@@ -109,6 +133,26 @@ class TestMetrics:
         assert girth(petersen_graph) == 5
         assert girth(heawood_graph) == 6
         assert girth(complete(4)) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graph_strategy(10), sparse_graph_strategy(10)))
+    def test_girth_is_least_detour_plus_one(self, g):
+        """Oracle: a shortest cycle through edge uv is a shortest u-v path
+        avoiding uv, closed by uv."""
+        edges = g.edges()
+        best = math.inf
+        for u, v in edges:
+            rest = [e for e in edges if e != (u, v)]
+            best = min(best, floyd_warshall(g.n, rest)[u][v] + 1)
+        assert girth(g) == best
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graph_strategy(10), sparse_graph_strategy(10)))
+    def test_bfs_distances_match_floyd_warshall(self, g):
+        dist = floyd_warshall(g.n, g.edges())
+        for s in range(g.n):
+            want = [-1 if d == math.inf else d for d in dist[s]]
+            assert bfs_distances(g, s) == want
 
 
 class TestSubgraphs:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from copwin.enumeration import connected_graph_classes
-from copwin.families import complete, cycle, petersen
+from copwin.families import complete, cycle, petersen, polarity
 from copwin.graphs import Graph, diameter, is_bipartite
 from copwin.strategy import (
     build_theorem1_plan,
@@ -118,6 +118,16 @@ class TestSimulate:
         plan = build_theorem1_plan(heawood_graph)
         trace = simulate(heawood_graph, plan, robber_policy="greedy")
         assert trace.outcome == "captured"
+
+    def test_trace_names_the_robber_that_played(self, petersen_graph):
+        """The optimal robber needs a solve table; above
+        OPTIMAL_ROBBER_STATE_CAP the greedy robber plays, and says so."""
+        plan = build_theorem1_plan(petersen_graph)
+        assert simulate(petersen_graph, plan).robber_policy == "optimal"
+        assert simulate(petersen_graph, plan, robber_policy="greedy").robber_policy == "greedy"
+        er5 = polarity(5)  # 7 cops on 31 vertices: far above the cap
+        trace = simulate(er5, build_theorem1_plan(er5), robber_policy="optimal")
+        assert trace.robber_policy == "greedy"
 
     def test_deterministic(self, petersen_graph):
         plan = build_theorem1_plan(petersen_graph)
