@@ -26,8 +26,10 @@ class UnsupportedParameterError(CopwinError, ValueError):
 class StateBudgetError(CopwinError, RuntimeError):
     """Solve aborted because the state space exceeds the configured budget.
 
-    ``lower_bound`` carries the best cop-count lower bound established
-    before the budget ran out (used by cop_number search), if any.
+    ``lower_bound`` is set by the cop-number search: a certified lower
+    bound on the cop number, the larger of the search's LB and the k
+    whose solve ran out of budget (every smaller k was solved and lost,
+    or is excluded by LB).  Direct cops_win calls leave it None.
     """
 
     def __init__(self, estimated, budget, lower_bound=None):

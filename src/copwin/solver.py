@@ -35,25 +35,40 @@ Two variants:
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
 are about.
+
+Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
+search, _least_winning_k, which solves only the k in [LB, UB):
+
+* LB is 1, except in the standard full-arena game: there it is 1 for a
+  dismantlable graph and 2 otherwise, raised to the minimum degree when
+  the girth is at least 5 (Aigner and Fromme, 1984).
+* UB is the least number of vertices whose closed neighbourhoods cover
+  the robber's arena (the domination number for the full arena): cops
+  placed there catch the robber on their first move.  The cover search
+  stops at a cover of LB vertices; after COVER_MAX_NODES branch-and-
+  bound nodes it gives up, and the search runs with no UB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from .graphs import (
     bits,
+    girth,
     induced_subgraph,
     is_connected,
     is_dismantlable,
     reachable_mask,
 )
+from .traps import TRANSVERSAL_MAX_EDGES, TRANSVERSAL_MAX_N, _min_transversal_masks
 
 DEFAULT_STATE_BUDGET = 50_000_000
 DISMANTLABLE_CROSS_CHECK_MAX_N = 32
+COVER_MAX_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -337,11 +352,15 @@ def cop_number(
     variant="standard",
     max_k=None,
 ):
-    """Least k for which k cops win; ascending search from k=1.
+    """Least k for which k cops win, searched between bounds: LB is 1,
+    or in the standard game 2 for a non-dismantlable graph, raised to
+    the minimum degree when girth >= 5; UB is the domination number
+    (none if its search gives up).  The k=1 verdict is cross-checked
+    against dismantlability on small standard instances.  An answer
+    above max_k raises CopwinError.
 
     For a disconnected graph (with allow_disconnected) the value is the
-    sum over components.  The k=1 verdict is cross-checked against the
-    dismantlability oracle on small standard instances.
+    sum over components.
     """
     if not is_connected(g):
         if not allow_disconnected:
@@ -352,24 +371,64 @@ def cop_number(
             cop_number(c, budget=budget, variant=variant, max_k=max_k)
             for c in _components(g)
         )
+    return _least_winning_k(g, GameConfig(variant=variant), budget, max_k)
+
+
+def _bounds(g, template):
+    """(LB, UB, dismantlable) for the least winning k in the game
+    template on connected g, by the rules in the module docstring.  UB
+    is None when the cover search gives up or exceeds the transversal
+    solver's caps; dismantlable is None unless LB needed it."""
+    lb, dismantlable = 1, None
+    arena = template.robber_arena
+    if template.variant == "standard" and arena is None and template.robber_may_pass:
+        dismantlable = is_dismantlable(g)
+        if not dismantlable:
+            lb = 2
+        if girth(g) >= 5:
+            lb = max(lb, min(g.degrees()))
+    verts = range(g.n) if arena is None else arena.vertices
+    ub = None
+    if g.n <= TRANSVERSAL_MAX_N and len(verts) <= TRANSVERSAL_MAX_EDGES:
+        cover = [g.closed_mask(a) for a in verts]
+        found = _min_transversal_masks(g.n, cover, lb, COVER_MAX_NODES)
+        ub = found[0] if found else None
+    return lb, ub, dismantlable
+
+
+def _least_winning_k(g, template, budget, max_k=None):
+    """The one cop-count search: least k for which k cops win the game
+    template (its k is ignored) on connected g.  Only k in [LB, UB) is
+    solved; without an UB the search runs up to max_k, or n.  On at
+    most DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a
+    dismantlability verdict also solves k=1 to check it.  A
+    StateBudgetError carries LB, or the k out of budget if larger."""
+    lb, ub, dismantlable = _bounds(g, template)
+    if ub is not None and ub < lb:
+        raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
     top = max_k if max_k is not None else g.n
-    for k in range(1, top + 1):
-        cfg = GameConfig(k=k, variant=variant)
+
+    def wins(k):
         try:
-            res = cops_win(g, cfg, budget=budget)
+            return cops_win(g, replace(template, k=k), budget=budget).cops_win
         except StateBudgetError as e:
-            raise StateBudgetError(e.estimated, e.budget, lower_bound=k) from None
-        if (
-            k == 1
-            and variant == "standard"
-            and g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N
-        ):
-            if res.cops_win != is_dismantlable(g):
-                raise CopwinError(
-                    "solver/dismantlability mismatch on %d-vertex graph" % g.n
-                )
-        if res.cops_win:
+            raise StateBudgetError(
+                e.estimated, e.budget, lower_bound=max(lb, k)
+            ) from None
+
+    if dismantlable is not None and g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N:
+        if wins(1) != dismantlable:
+            raise CopwinError(
+                "solver/dismantlability mismatch on %d-vertex graph" % g.n
+            )
+        if dismantlable:
+            ub = 1
+    stop = top + 1 if ub is None else min(ub, top + 1)
+    for k in range(lb, stop):
+        if wins(k):
             return k
+    if ub is not None and ub <= top:
+        return ub
     raise CopwinError("no winning cop count found up to k=%d" % top)
 
 
@@ -390,11 +449,9 @@ def restricted_cop_number(g, arena, budget=DEFAULT_STATE_BUDGET):
     if not isinstance(arena, Arena):
         arena = Arena.induced(g, arena)
     arena.validate_against(g)
-    for k in range(1, g.n + 1):
-        cfg = GameConfig(k=k, robber_arena=arena)
-        if cops_win(g, cfg, budget=budget).cops_win:
-            return k
-    raise CopwinError("no winning cop count found")
+    if not is_connected(g):
+        raise DisconnectedGraphError("restricted cop number needs a connected graph")
+    return _least_winning_k(g, GameConfig(robber_arena=arena), budget)
 
 
 C_G_OF_M_MAX_N = 8

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import StateBudgetError
 from .graphs import (
     Graph,
     bfs_distances,
@@ -202,13 +203,12 @@ def _robber_policy(g, plan, name):
         return _GreedyRobber(g)
     if name != "optimal":
         raise ValueError("robber_policy must be 'optimal' or 'greedy'")
-    k = max(plan.total_cops, 1)
-    est = math.comb(g.n + k - 1, k) * g.n * 2
-    if est > OPTIMAL_ROBBER_STATE_CAP:
+    try:
+        return _TableRobber(g, max(plan.total_cops, 1), OPTIMAL_ROBBER_STATE_CAP)
+    except StateBudgetError:
         # state space too large to tabulate; fall back to the greedy
         # adversary, as for any large instance
         return _GreedyRobber(g)
-    return _TableRobber(g, k, OPTIMAL_ROBBER_STATE_CAP)
 
 
 def simulate(g, plan, robber_policy="optimal", max_rounds=None):

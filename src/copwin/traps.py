@@ -79,7 +79,11 @@ def min_transversal(h):
     return size, frozenset(witness)
 
 
-def _min_transversal_masks(n, edge_masks):
+class _Stop(Exception):
+    """Ends the branch and bound: at the floor, or out of nodes."""
+
+
+def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     """Exact minimum hitting set of nonempty edge bitmasks over vertices
     0..n-1: (size, witness list).
 
@@ -87,6 +91,10 @@ def _min_transversal_masks(n, edge_masks):
     edge; lower bound from a greedy disjoint-edge matching.  The bound
     starts at m + 1, since one vertex per edge always hits every edge,
     so the first descent is never pruned and finds the first cover.
+
+    floor is a lower bound on the answer known to the caller: the first
+    cover of at most floor vertices ends the search.  With max_nodes,
+    the search gives up and returns None after that many inner nodes.
     """
     if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
@@ -106,6 +114,16 @@ def _min_transversal_masks(n, edge_masks):
 
     best_size = len(edge_masks) + 1
     best_set = None
+    lower_bound = _matching_lower_bound
+    left = max_nodes
+    if max_nodes is not None:
+
+        def lower_bound(edges):  # one call per inner node: count them here
+            nonlocal left
+            left -= 1
+            if left < 0:
+                raise _Stop
+            return _matching_lower_bound(edges)
 
     def branch(remaining, chosen):
         nonlocal best_size, best_set
@@ -113,8 +131,10 @@ def _min_transversal_masks(n, edge_masks):
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = chosen[:]
+                if best_size <= floor:
+                    raise _Stop
             return
-        if len(chosen) + _matching_lower_bound(remaining) >= best_size:
+        if len(chosen) + lower_bound(remaining) >= best_size:
             return
         # branch over the vertices of a smallest remaining edge, trying
         # high-degree vertices first
@@ -132,7 +152,11 @@ def _min_transversal_masks(n, edge_masks):
             branch([e for e in remaining if not (e >> v & 1)], chosen)
             chosen.pop()
 
-    branch(edge_masks, [])
+    try:
+        branch(edge_masks, [])
+    except _Stop:
+        if left is not None and left < 0:
+            return None
     return best_size, best_set
 
 

@@ -75,7 +75,14 @@ class TestSolve:
         code, text = run(["solve", "--input", petersen_file, "--budget", "10"])
         assert code == EXIT_RESOURCE
         assert "status=unresolved" in text
-        assert "c_lower_bound=1" in text
+        assert "c_lower_bound=3" in text
+
+    def test_hoffman_singleton_settled_by_bounds(self, tmp_path, hoffman_singleton_graph):
+        p = tmp_path / "hs.g6"
+        p.write_text(emit_graph6(hoffman_singleton_graph) + "\n")
+        code, text = run(["solve", "--budget", "2000000", "--input", str(p)])
+        assert code == EXIT_OK
+        assert "c=7" in text and "status=ok" in text
 
     def test_nmax_cap(self):
         code, _ = run(["solve", "--nmax", "12"])

@@ -1,8 +1,11 @@
+import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copwin import solver
 from copwin.enumeration import connected_graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from copwin.families import complete, cycle, path, petersen, polarity
@@ -11,6 +14,7 @@ from copwin.solver import (
     Arena,
     GameConfig,
     GameState,
+    _bounds,
     c_G_of_m,
     cop_number,
     cops_win,
@@ -54,11 +58,69 @@ class TestCopNumber:
     def test_budget(self, petersen_graph):
         with pytest.raises(StateBudgetError) as e:
             cop_number(petersen_graph, budget=100)
-        assert e.value.lower_bound == 1
+        assert e.value.lower_bound == 3
+
+    def test_hoffman_singleton(self, hoffman_singleton_graph):
+        # girth 5 and degree 7 give c >= 7, and 7 cops dominate it, so
+        # no solve runs; a solve at k = 7 would need ~2e10 states
+        assert cop_number(hoffman_singleton_graph, budget=2_000_000) == 7
+
+    def test_cover_cap_falls_back_to_solving(self, petersen_graph, monkeypatch):
+        monkeypatch.setattr(solver, "COVER_MAX_NODES", 1)
+        assert _bounds(petersen_graph, GameConfig())[1] is None
+        assert cop_number(petersen_graph) == 3
+        assert teleport_cop_number(petersen_graph) == 3
 
     def test_max_k_exhausted(self):
         with pytest.raises(CopwinError):
             cop_number(cycle(4), max_k=1)
+
+
+def _least_winning_k(g, **cfg):
+    """Least k with cops_win true, solving every k from 1."""
+    k = 1
+    while not cops_win(g, GameConfig(k=k, **cfg)).cops_win:
+        k += 1
+    return k
+
+
+def _brute_cover(g, verts):
+    """Least number of vertices whose closed neighbourhoods cover verts,
+    by trying every vertex set in order of size."""
+    need = sum(1 << v for v in verts)
+    for size in range(1, g.n + 1):
+        for picked in combinations(range(g.n), size):
+            covered = 0
+            for v in picked:
+                covered |= g.closed_mask(v)
+            if covered & need == need:
+                return size
+
+
+class TestBounds:
+    def test_bounds_bracket_cop_number(self):
+        for n in range(1, 9):
+            for g in connected_graph_classes(n):
+                lb, ub, _ = _bounds(g, GameConfig())
+                assert lb <= _least_winning_k(g) <= ub, g
+
+    def test_teleport_bounded_by_domination(self):
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                gamma = _brute_cover(g, range(n))
+                assert _bounds(g, GameConfig(variant="teleport"))[:2] == (1, gamma)
+                assert 1 <= _least_winning_k(g, variant="teleport") <= gamma, g
+
+    def test_restricted_bounded_by_arena_cover(self):
+        rng = random.Random(7)
+        for g in connected_graph_classes(7):
+            verts = rng.sample(range(7), rng.randint(1, 7))
+            arena = Arena.induced(g, verts)
+            cover = _brute_cover(g, verts)
+            assert _bounds(g, GameConfig(robber_arena=arena))[:2] == (1, cover)
+            c = _least_winning_k(g, robber_arena=arena)
+            assert c <= cover, (g, verts)
+            assert restricted_cop_number(g, arena) == c
 
 
 class TestGameSemantics:

@@ -11,6 +11,7 @@ from copwin.families import complete, cycle, path, petersen
 from copwin.graphs import Graph
 from copwin.traps import (
     Hypergraph,
+    _min_transversal_masks,
     check_lemma4,
     check_lemma5,
     chvatal_bound,
@@ -107,6 +108,21 @@ class TestMinTransversal:
     def test_cap(self):
         with pytest.raises(ValueError):
             min_transversal(Hypergraph(65, [{0}]))
+
+    def test_floor_stops_at_first_cover_that_small(self):
+        # the closed neighbourhoods of the Petersen graph: domination
+        # number 3, so a floor of 3 ends the search at the first such cover
+        g = petersen()
+        edges = [g.closed_mask(v) for v in range(g.n)]
+        size, witness = _min_transversal_masks(g.n, edges, floor=3)
+        assert size == 3 == _min_transversal_masks(g.n, edges)[0]
+        assert all(e & sum(1 << v for v in witness) for e in edges)
+
+    def test_node_cap_gives_up(self):
+        g = petersen()
+        edges = [g.closed_mask(v) for v in range(g.n)]
+        assert _min_transversal_masks(g.n, edges, max_nodes=1) is None
+        assert _min_transversal_masks(g.n, edges, max_nodes=10**6)[0] == 3
 
 
 class TestChvatalBound:
