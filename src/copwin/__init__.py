@@ -35,7 +35,6 @@ from .solver import (
     c_G_of_m,
     cop_number,
     cops_win,
-    optimal_robber_move,
     preceq,
     preceq_fixpoint_wins,
     restricted_cop_number,

@@ -28,7 +28,7 @@ from collections import Counter
 from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
 from .families import FAMILIES, GraphFamily, generate
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, read_graph6_lines
 from .graphs import diameter, is_bipartite
 from .solver import (
     DEFAULT_STATE_BUDGET,
@@ -99,21 +99,15 @@ def _graphs(args, out, max_n, found):
 
 
 def _read_input(args, out, found):
-    """Yield the graphs of the --input file.  The lines are read here
-    rather than by graph6.read_graph6_lines, which raises at the first
-    bad line and knows no line numbers."""
+    """Yield the graphs of the --input file; each bad line becomes a
+    parse_error record."""
     with open(args.input) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                g = parse_graph6(line)
-            except Graph6Error as e:
-                _emit(out, {"line": lineno, "status": "parse_error", "error": str(e)}, args.json)
+        for lineno, g in read_graph6_lines(fh):
+            if isinstance(g, Graph6Error):
+                _emit(out, {"line": lineno, "status": "parse_error", "error": str(g)}, args.json)
                 found.add(EXIT_USAGE)
-                continue
-            yield g
+            else:
+                yield g
 
 
 def _exit_code(found):

@@ -113,8 +113,13 @@ def emit_graph6(g, max_n=DEFAULT_MAX_N):
 
 
 def read_graph6_lines(lines, max_n=DEFAULT_MAX_N):
-    """Parse an iterable of graph6 lines, skipping blank lines."""
-    for line in lines:
+    """Parse an iterable of graph6 lines, skipping blank ones.  Yields
+    (line number from 1, Graph) per line, or (line number, Graph6Error)
+    for a line that fails to parse; raises nothing itself."""
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            yield parse_graph6(line, max_n=max_n)
+            try:
+                yield lineno, parse_graph6(line, max_n=max_n)
+            except Graph6Error as e:
+                yield lineno, e

@@ -2,10 +2,10 @@
 
 States are (cop multiset, robber vertex, side to move).  The cop team's
 move relation is the reflexive closure of the k-fold strong product of G
-(each cop moves along an edge or stays); one table of successor
-positions holds it.  Winning states are the cop attractor of the capture
-states, computed in rounds over per-position bitmasks of robber
-vertices:
+(each cop moves along an edge or stays).  A table of successor
+positions holds it for the rounds of one solve and is not kept.
+Winning states are the cop attractor of the capture states, computed in
+rounds over per-position bitmasks of robber vertices:
 
 * C_0[p] is the set of arena vertices on which a robber facing cop
   position p with the cops to move is already caught.
@@ -16,8 +16,9 @@ vertices:
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
-capture.  Results keep the per-round masks and read labels, levels and
-strategies from them on demand.
+capture.  Results keep only the per-round masks and read labels,
+levels and both sides' replies from them on demand; a cop reply builds
+the successors of its one position.
 
 Two variants:
 
@@ -135,36 +136,33 @@ class GameConfig:
             raise ValueError("unknown variant %r" % self.variant)
 
 
-@dataclass(frozen=True)
-class GameState:
-    cop_position: tuple  # nondecreasing k-tuple (multiset)
-    robber: int
-    turn: str  # "cops" | "robber"
-
-
 _SIDE = {"cops": 0, "robber": 1}
 
 
 class SolveResult:
-    """Per-round attractor masks for one solved instance; labels, levels
-    and strategies are read from them on demand.  Immutable once
-    returned; safe to share.
+    """Per-round attractor masks for one solved instance.  Immutable
+    once returned; safe to share.  It answers every strategy query on
+    demand, from the masks alone:
+
+    * cops_win and best_position -- the verdict, and where the cops
+      place to win soonest;
+    * is_cop_win, level_of -- the label and capture level of a state;
+    * placement_value -- the worst capture level over robber placements;
+    * cop_move -- the cops' optimal reply;
+    * robber_move, robber_placement -- the robber's optimal replies.
 
     rounds[L] is the pair (C_L, R_L) of per-position masks of the robber
     vertices from which the cops win within L rounds, with the cops or
     the robber to move; the last pair is the fixpoint.
     """
 
-    def __init__(
-        self, g, cfg, positions, index, arena_vertices, rob_moves, successors, rounds
-    ):
+    def __init__(self, g, cfg, positions, index, arena_vertices, rob_moves, rounds):
         self.g = g
         self.cfg = cfg
         self.positions = positions
         self._index = index  # position -> its index in positions
         self.arena_vertices = arena_vertices
         self._rob_moves = rob_moves  # arena vertex -> mask of destinations
-        self._successors = successors  # cop-move table; None under teleport
         self._rounds = rounds
         self._full = sum(1 << v for v in arena_vertices)
         # the cops place where the whole arena is won soonest
@@ -179,47 +177,73 @@ class SolveResult:
         )
         self.cops_win = self.best_position is not None
 
-    def is_cop_win(self, pos, r, turn):
+    def _round(self, pos, turn, mask):
+        """The least round whose mask for the side to move holds every
+        robber vertex of mask at cop position pos, or None."""
         p = self._index.get(tuple(sorted(pos)))
-        return p is not None and bool(self._rounds[-1][_SIDE[turn]][p] >> r & 1)
+        if p is None:
+            return None
+        side = _SIDE[turn]
+        return next(
+            (lv for lv, masks in enumerate(self._rounds) if masks[side][p] & mask == mask),
+            None,
+        )
+
+    def is_cop_win(self, pos, r, turn):
+        return self._round(pos, turn, 1 << r) is not None
 
     def level_of(self, pos, r, turn):
         """Optimal cop rounds to capture from a cop-winning state."""
-        p = self._index.get(tuple(sorted(pos)))
-        if p is not None:
-            side = _SIDE[turn]
-            for lv, masks in enumerate(self._rounds):
-                if masks[side][p] >> r & 1:
-                    return lv
-        raise KeyError("(%r, %r, %r) is not a cop-win state" % (pos, r, turn))
+        lv = self._round(pos, turn, 1 << r)
+        if lv is None:
+            raise KeyError("(%r, %r, %r) is not a cop-win state" % (pos, r, turn))
+        return lv
 
     def cop_move(self, pos, r):
         """The cops' reply in a cops-to-move state they win in L >= 1
         rounds: the successor position whose robber-to-move state has
-        the least level (L - 1), lowest index on ties."""
+        the least level (L - 1), lowest index on ties.  In the standard
+        game the successors of pos are built here, for pos alone."""
         lv = self.level_of(pos, r, "cops")
         if lv == 0:
             raise KeyError("(%r, %r) is already a capture" % (pos, r))
         rob = self._rounds[lv - 1][1]
-        if self._successors is None:
+        if self.cfg.variant == "teleport":
             succ = (q for q, t in enumerate(self.positions) if r not in t)
         else:
-            succ = self._successors[self._index[tuple(sorted(pos))]]
+            succ = _team_moves(self.g, pos, self._index)
         return next(self.positions[q] for q in succ if rob[q] >> r & 1)
 
-    def robber_moves(self, r):
-        return tuple(bits(self._rob_moves[r]))
+    def robber_move(self, pos, r):
+        """The robber's best reply in the robber-to-move state (pos, r):
+        stay in the robber-win region when possible, otherwise maximize
+        the capture level."""
+        pos = tuple(sorted(pos))
+        if pos not in self._index or r not in self._rob_moves:
+            raise KeyError("state %r not in solve table" % ((pos, r, "robber"),))
+        moves = tuple(bits(self._rob_moves[r]))
+        if not moves:
+            raise ValueError("robber has no legal move from %r" % ((pos, r, "robber"),))
+        if not self.is_cop_win(pos, r, "robber"):
+            return next(r2 for r2 in moves if not self.is_cop_win(pos, r2, "cops"))
+        return max(moves, key=lambda r2: self.level_of(pos, r2, "cops"))
+
+    def robber_placement(self, pos):
+        """The robber's best initial vertex against cop placement pos:
+        the first robber-win vertex, else the first of maximum level."""
+        best = None
+        for r in self.arena_vertices:
+            lv = self._round(pos, "cops", 1 << r)
+            if lv is None:
+                return r
+            if best is None or lv > best[0]:
+                best = (lv, r)
+        return best[1]
 
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
         placement is robber-win."""
-        p = self._index.get(tuple(sorted(pos)))
-        if p is None:
-            return None
-        return next(
-            (lv for lv, (cop, _) in enumerate(self._rounds) if cop[p] == self._full),
-            None,
-        )
+        return self._round(pos, "cops", self._full)
 
 
 def _positions(n, k, per_position, budget):
@@ -241,15 +265,13 @@ def _occupancy(positions):
     return out
 
 
-def _successors(g, positions, index):
-    """Cop-move table: for each position, the sorted indices of the
-    positions the team reaches in one move (each cop moves along an edge
-    or stays).  index maps each position to its place in positions."""
-    moves = [[v] + g.neighbors(v) for v in range(g.n)]
-    return [
-        sorted({index[tuple(sorted(c))] for c in product(*(moves[v] for v in t))})
-        for t in positions
-    ]
+def _team_moves(g, t, index):
+    """The sorted indices of the positions the cop team at t reaches in
+    one move (each cop moves along an edge or stays).  index maps each
+    position to its place in the list of positions."""
+    return sorted(
+        {index[tuple(sorted(c))] for c in product(*[[v] + g.neighbors(v) for v in t])}
+    )
 
 
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
@@ -283,7 +305,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
                 d |= g.adj[c] if cfg.teleport_open_neighborhood else g.closed_mask(c)
             cop.append(d & amask)
     else:
-        successors = _successors(g, positions, index)
+        successors = [_team_moves(g, t, index) for t in positions]
         cop = caught
 
     rounds = []
@@ -310,39 +332,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         if nxt == cop:
             break
         cop = nxt
-    return SolveResult(
-        g, cfg, tuple(positions), index, arena.vertices, rob_moves, successors, rounds
-    )
-
-
-def optimal_robber_move(state, result):
-    """Best robber reply in a solved instance: stay in the robber-win
-    region when possible, otherwise maximize the capture level."""
-    if state.turn != "robber":
-        raise ValueError("optimal_robber_move needs a robber-to-move state")
-    pos = tuple(sorted(state.cop_position))
-    r = state.robber
-    key = (pos, r, "robber")
-    if pos not in result._index or r not in result._rob_moves:
-        raise KeyError("state %r not in solve table" % (key,))
-    moves = result.robber_moves(r)
-    if not moves:
-        raise ValueError("robber has no legal move from %r" % (key,))
-    if not result.is_cop_win(pos, r, "robber"):
-        return next(r2 for r2 in moves if not result.is_cop_win(pos, r2, "cops"))
-    return max(moves, key=lambda r2: result.level_of(pos, r2, "cops"))
-
-
-def optimal_robber_placement(result, pos):
-    """Robber's best initial vertex against cop placement pos."""
-    best = None
-    for r in result.arena_vertices:
-        if not result.is_cop_win(pos, r, "cops"):
-            return r
-        lv = result.level_of(pos, r, "cops")
-        if best is None or lv > best[0]:
-            best = (lv, r)
-    return best[1]
+    return SolveResult(g, cfg, tuple(positions), index, arena.vertices, rob_moves, rounds)
 
 
 def cop_number(
@@ -359,18 +349,21 @@ def cop_number(
     against dismantlability on small standard instances.  An answer
     above max_k raises CopwinError.
 
-    For a disconnected graph (with allow_disconnected) the value is the
-    sum over components.
+    For a disconnected graph (with allow_disconnected) the standard
+    value is the sum over components.  Teleporting cops jump between
+    components, so c_T is searched on the whole graph: its bounds (LB 1,
+    UB the domination number) hold there too.
     """
     if not is_connected(g):
         if not allow_disconnected:
             raise DisconnectedGraphError(
                 "cop number of a disconnected graph needs allow_disconnected"
             )
-        return sum(
-            cop_number(c, budget=budget, variant=variant, max_k=max_k)
-            for c in _components(g)
-        )
+        if variant == "standard":
+            return sum(
+                cop_number(c, budget=budget, variant=variant, max_k=max_k)
+                for c in _components(g)
+            )
     return _least_winning_k(g, GameConfig(variant=variant), budget, max_k)
 
 
@@ -398,11 +391,12 @@ def _bounds(g, template):
 
 def _least_winning_k(g, template, budget, max_k=None):
     """The one cop-count search: least k for which k cops win the game
-    template (its k is ignored) on connected g.  Only k in [LB, UB) is
-    solved; without an UB the search runs up to max_k, or n.  On at
-    most DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a
-    dismantlability verdict also solves k=1 to check it.  A
-    StateBudgetError carries LB, or the k out of budget if larger."""
+    template (its k is ignored) on g, which is connected unless the game
+    is teleport.  Only k in [LB, UB) is solved; without an UB the search
+    runs up to max_k, or n.  On at most DISMANTLABLE_CROSS_CHECK_MAX_N
+    vertices, a game with a dismantlability verdict also solves k=1 to
+    check it.  A StateBudgetError carries LB, or the k out of budget if
+    larger."""
     lb, ub, dismantlable = _bounds(g, template)
     if ub is not None and ub < lb:
         raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
@@ -410,7 +404,10 @@ def _least_winning_k(g, template, budget, max_k=None):
 
     def wins(k):
         try:
-            return cops_win(g, replace(template, k=k), budget=budget).cops_win
+            # callers check connectivity; a disconnected g is a teleport game
+            return cops_win(
+                g, replace(template, k=k), budget=budget, allow_disconnected=True
+            ).cops_win
         except StateBudgetError as e:
             raise StateBudgetError(
                 e.estimated, e.budget, lower_bound=max(lb, k)
@@ -490,7 +487,8 @@ def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
     n = g.n
     positions = _positions(n, k, n, budget)
     P = len(positions)
-    pos_succ = _successors(g, positions, {t: i for i, t in enumerate(positions)})
+    index = {t: i for i, t in enumerate(positions)}
+    pos_succ = [_team_moves(g, t, index) for t in positions]
     occ = _occupancy(positions)
 
     chain = [list(occ)]

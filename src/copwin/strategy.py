@@ -29,14 +29,7 @@ from .graphs import (
     is_bipartite,
     is_connected,
 )
-from .solver import (
-    Arena,
-    GameConfig,
-    GameState,
-    cops_win,
-    optimal_robber_move,
-    optimal_robber_placement,
-)
+from .solver import Arena, GameConfig, cops_win
 
 OPTIMAL_ROBBER_STATE_CAP = 200_000
 
@@ -95,23 +88,21 @@ def build_theorem1_plan(g):
             "plan requires diameter <= 2, or a bipartite graph of diameter 3 "
             "(got diameter %s)" % diameter(g)
         )
-    alive = set(range(g.n))
+    alive = (1 << g.n) - 1
     guards = []
     stage = 0
     while alive:
-        m = len(alive)
+        m = alive.bit_count()
         thresh = math.isqrt(2 * m)
-        deg = {
-            v: sum(1 for u in bits(g.adj[v]) if u in alive) for v in alive
-        }
-        top = max(alive, key=lambda v: (deg[v], -v))
-        if deg[top] <= thresh:
+        top = max(bits(alive), key=lambda v: ((g.adj[v] & alive).bit_count(), -v))
+        deg = (g.adj[top] & alive).bit_count()
+        if deg <= thresh:
             break
-        guards.append(StationaryGuard(top, stage, m, thresh, deg[top]))
-        alive -= {top} | set(bits(g.adj[top]))
+        guards.append(StationaryGuard(top, stage, m, thresh, deg))
+        alive &= ~g.closed_mask(top)
         stage += 1
-    mobile = math.isqrt(2 * len(alive)) if alive else 0
-    residual = Arena.induced(g, alive) if alive else Arena((), (0,) * g.n)
+    mobile = math.isqrt(2 * alive.bit_count())
+    residual = Arena.induced(g, bits(alive))
     return CopPlan(
         stationary=tuple(guards),
         residual_arena=residual,
@@ -191,11 +182,10 @@ class _TableRobber:
         self.result = cops_win(g, GameConfig(k=k), budget=budget)
 
     def place(self, cop_list):
-        return optimal_robber_placement(self.result, tuple(sorted(cop_list)))
+        return self.result.robber_placement(cop_list)
 
     def move(self, robber, cop_list):
-        state = GameState(tuple(sorted(cop_list)), robber, "robber")
-        return optimal_robber_move(state, self.result)
+        return self.result.robber_move(cop_list, robber)
 
 
 def _robber_policy(g, plan, name):

@@ -84,6 +84,16 @@ class TestSolve:
         assert code == EXIT_OK
         assert "c=7" in text and "status=ok" in text
 
+    def test_disconnected_teleport_not_summed(self, tmp_path):
+        # 2K2: the standard c sums its components, but one teleporting
+        # cop jumps between them and wins
+        p = tmp_path / "2k2.g6"
+        p.write_text("C`\n")
+        code, text = run(["solve", "--input", str(p), "--variant", "teleport",
+                          "--allow-disconnected"])
+        assert code == EXIT_OK
+        assert text == "graph=C` n=4 c=2 c_T=1 status=ok\n"
+
     def test_nmax_cap(self):
         code, _ = run(["solve", "--nmax", "12"])
         assert code == EXIT_USAGE

@@ -85,5 +85,13 @@ class TestEmit:
 
 def test_read_lines_skips_blanks():
     text = "@\n\nA_\n"
-    gs = list(read_graph6_lines(text.splitlines()))
-    assert [g.n for g in gs] == [1, 2]
+    read = list(read_graph6_lines(text.splitlines()))
+    assert [lineno for lineno, _ in read] == [1, 3]
+    assert [g.n for _, g in read] == [1, 2]
+
+
+def test_read_lines_yields_errors_in_place():
+    read = list(read_graph6_lines(["!!", "", "A_"]))
+    assert [lineno for lineno, _ in read] == [1, 3]
+    assert isinstance(read[0][1], Graph6Error)
+    assert read[1][1].n == 2

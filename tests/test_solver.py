@@ -13,13 +13,10 @@ from copwin.graphs import Graph, is_dismantlable
 from copwin.solver import (
     Arena,
     GameConfig,
-    GameState,
     _bounds,
     c_G_of_m,
     cop_number,
     cops_win,
-    optimal_robber_move,
-    optimal_robber_placement,
     preceq_fixpoint_wins,
     restricted_cop_number,
     teleport_cop_number,
@@ -49,6 +46,14 @@ class TestCopNumber:
         with pytest.raises(DisconnectedGraphError):
             cop_number(g)
         assert cop_number(g, allow_disconnected=True) == 4
+
+    def test_disconnected_teleport_is_not_summed(self):
+        # a teleporting cop jumps between components: one cop wins 2K2
+        # and K3+K2, though each component alone needs one
+        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+            assert teleport_cop_number(g, allow_disconnected=True) == 1
+            cfg = GameConfig(k=1, variant="teleport")
+            assert cops_win(g, cfg, allow_disconnected=True).cops_win
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(connected_graph_classes(6)))
@@ -144,7 +149,7 @@ class TestGameSemantics:
         g = cycle(5)
         res = cops_win(g, GameConfig(k=2))
         pos = res.best_position
-        r = optimal_robber_placement(res, pos)
+        r = res.robber_placement(pos)
         lv = res.level_of(pos, r, "cops")
         for _ in range(lv):
             nxt = res.cop_move(pos, r)
@@ -152,10 +157,52 @@ class TestGameSemantics:
             pos = nxt
             if r in pos:
                 break
-            r = optimal_robber_move(GameState(pos, r, "robber"), res)
+            r = res.robber_move(pos, r)
             if r in pos:
                 break
         assert r in pos
+
+    @pytest.mark.parametrize("cfg", [
+        {},
+        {"robber_may_pass": False},
+        {"variant": "teleport"},
+    ], ids=["standard", "no_pass", "teleport"])
+    def test_replies_on_every_state(self, cfg):
+        # every connected class n <= 6, k <= 2: each cop reply lowers the
+        # level by one (and under teleport avoids the robber); each
+        # robber reply is legal, stays robber-win when it can, and else
+        # takes a move of maximum level
+        for n in range(1, 7):
+            for g in connected_graph_classes(n):
+                for k in (1, 2):
+                    res = cops_win(g, GameConfig(k=k, **cfg))
+                    for pos in res.positions:
+                        for r in range(n):
+                            self._check_replies(g, res, pos, r)
+
+    @staticmethod
+    def _check_replies(g, res, pos, r):
+        if res.is_cop_win(pos, r, "cops"):
+            lv = res.level_of(pos, r, "cops")
+            if lv >= 1:
+                nxt = res.cop_move(pos, r)
+                assert res.level_of(nxt, r, "robber") == lv - 1
+                if res.cfg.variant == "teleport":
+                    assert r not in nxt
+        moves = [r] if res.cfg.robber_may_pass else []
+        moves += g.neighbors(r)
+        escapes = [r2 for r2 in moves if not res.is_cop_win(pos, r2, "cops")]
+        if not moves:
+            with pytest.raises(ValueError):
+                res.robber_move(pos, r)
+            return
+        r2 = res.robber_move(pos, r)
+        assert r2 in moves
+        if escapes:
+            assert r2 in escapes
+        else:
+            levels = [res.level_of(pos, m, "cops") for m in moves]
+            assert res.level_of(pos, r2, "cops") == max(levels)
 
     def test_capture_level_zero_when_placed_on_robber(self):
         g = path(3)
