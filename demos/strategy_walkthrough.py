@@ -1,7 +1,8 @@
 """Walk through the constructive sqrt(2n) strategy on a diameter-2
 graph: park stationary cops on high-degree vertices, then chase the
 robber in the bounded-degree residual arena with mobile cops, and watch
-the whole thing play out against the exactly-optimal robber.
+the whole thing play out against the exactly-optimal robber (the greedy
+one when the optimal robber's table would exceed its budget).
 
 Run:  python3 demos/strategy_walkthrough.py
 """
@@ -28,6 +29,7 @@ def walkthrough(name, g):
 
     # trace format: one line per round, "round cop_positions robber"
     trace = simulate(g, plan, robber_policy="optimal")
+    print("robber: %s" % trace.robber_policy)
     print(format_trace(trace))
 
 

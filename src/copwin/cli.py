@@ -301,7 +301,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="cop numbers for a graph6 stream")
     common(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                    help="state budget per solve")
+                    help="budget per solve on states and layered transitions")
     sp.add_argument("--timing", action="store_true")
     sp.add_argument("--allow-disconnected", action="store_true")
     sp.add_argument("--variant", choices=("standard", "teleport"),
@@ -313,7 +313,7 @@ def build_parser():
     sp = sub.add_parser("scan", help="theorem and conjecture scans")
     common(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                    help="state budget per solve")
+                    help="budget per solve on states and layered transitions")
     sp.add_argument("--seed", type=int, default=0, help="echoed in the header")
     sp.add_argument("--check", required=True, choices=ALL_CHECKS)
     sp.add_argument("--all", action="store_true",

@@ -24,7 +24,10 @@ class UnsupportedParameterError(CopwinError, ValueError):
 
 
 class StateBudgetError(CopwinError, RuntimeError):
-    """Solve aborted because the state space exceeds the configured budget.
+    """Solve aborted because its size exceeds the configured budget.
+
+    ``counted`` names what exceeded it: "states", or the "layered
+    transitions" of the cop-move relation.  ``estimated`` is that count.
 
     ``lower_bound`` is set by the cop-number search: a certified lower
     bound on the cop number, the larger of the search's LB and the k
@@ -32,11 +35,12 @@ class StateBudgetError(CopwinError, RuntimeError):
     or is excluded by LB).  Direct cops_win calls leave it None.
     """
 
-    def __init__(self, estimated, budget, lower_bound=None):
+    def __init__(self, estimated, budget, lower_bound=None, counted="states"):
         super().__init__(
-            "state space too large: %d states exceeds budget of %d"
-            % (estimated, budget)
+            "state space too large: %d %s exceeds budget of %d"
+            % (estimated, counted, budget)
         )
         self.estimated = estimated
         self.budget = budget
         self.lower_bound = lower_bound
+        self.counted = counted

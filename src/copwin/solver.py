@@ -2,8 +2,21 @@
 
 States are (cop multiset, robber vertex, side to move).  The cop team's
 move relation is the reflexive closure of the k-fold strong product of G
-(each cop moves along an edge or stays).  A table of successor
-positions holds it for the rounds of one solve and is not kept.
+(each cop moves along an edge or stays).  It is never listed: a layered
+relation moves one cop at a time (after Petr, Portier and Versteegen,
+"A faster algorithm for Cops and Robbers", 2022).  Its layer-j states
+are pairs (M, U): M the multiset of the j cops that have moved, U the
+k - j that have not; the least cop of U moves next.  Position p is the
+layer-0 state (empty, p) and the layer-k state (p, empty), so ORing a
+per-position mask vector backwards over the k layers gives, at every
+position, the union over its product successors.  That takes at most
+(Delta+1) * sum_j C(n+j-1, j) * C(n+k-j-1, k-j) transitions, against
+(Delta+1)^k product tuples per position.
+
+A solve is sized by arithmetic before anything is built: its states
+and, where it uses the layered relation, that bound on its transitions
+must each be within the budget.
+
 Winning states are the cop attractor of the capture states, computed in
 rounds over per-position bitmasks of robber vertices:
 
@@ -26,10 +39,9 @@ Two variants:
   at placement and after each side's move.
 * teleport -- each cop may jump to any vertex except the robber's
   current one; the robber loses as soon as his own round (or his
-  placement) ends in the closed neighbourhood of a cop.  A config switch
-  gives the open-neighbourhood reading instead.  C_0[p] is then the
-  arena part of that danger zone.  Since every position that avoids the
-  robber is one jump away, the round collapses to
+  placement) ends in the closed neighbourhood of a cop.  C_0[p] is then
+  the arena part of that danger zone.  Since every position that avoids
+  the robber is one jump away, the round collapses to
   C_{L+1}[p] = C_L[p] | T_L, with T_L the union of R_L[q] minus the
   occupied vertices of q over all positions q.
 
@@ -55,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement, product
+from operator import or_
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from .graphs import (
@@ -127,7 +140,6 @@ class GameConfig:
     variant: str = "standard"  # "standard" | "teleport"
     robber_may_pass: bool = True
     robber_arena: Arena | None = None
-    teleport_open_neighborhood: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -246,13 +258,27 @@ class SolveResult:
         return self._round(pos, "cops", self._full)
 
 
-def _positions(n, k, per_position, budget):
+def _layered_transitions(n, k, max_degree):
+    """An upper bound on the transitions of the layered cop-move
+    relation: layer j has C(n+j-1, j) * C(n+k-j-1, k-j) states, each
+    with at most max_degree + 1 moves to layer j + 1."""
+    return (max_degree + 1) * sum(
+        math.comb(n + j - 1, j) * math.comb(n + k - j - 1, k - j) for j in range(k)
+    )
+
+
+def _positions(g, k, per_position, budget, layered=True):
     """All cop positions (nondecreasing k-tuples), sized by arithmetic
-    against the budget before any is built."""
-    est = math.comb(n + k - 1, k) * per_position
+    against the budget before any is built: the states, and for a game
+    that walks the layered relation, its transitions."""
+    est = math.comb(g.n + k - 1, k) * per_position
     if est > budget:
         raise StateBudgetError(est, budget)
-    return list(combinations_with_replacement(range(n), k))
+    if layered:
+        work = _layered_transitions(g.n, k, g.max_degree())
+        if work > budget:
+            raise StateBudgetError(work, budget, counted="layered transitions")
+    return list(combinations_with_replacement(range(g.n), k))
 
 
 def _occupancy(positions):
@@ -274,6 +300,49 @@ def _team_moves(g, t, index):
     )
 
 
+def _cop_moves(g, k, index):
+    """The layered cop-move relation of k cops on g (see the module
+    docstring), as a function: given a mask per position (in the order
+    of index, which maps each position to its place), it returns for
+    every position p the OR of the masks of all positions the team at
+    p reaches in one move.
+
+    Layer j is kept as one column per unmoved multiset U, a sequence
+    over the moved multisets M.  The backward pass from layer j + 1 to
+    layer j is then, per U = (u, *rest), an OR over w in N[u] of the
+    column of rest read at M + {w}, one lazy chain of C-level maps."""
+    n = g.n
+    moved = [list(combinations_with_replacement(range(n), j)) for j in range(k)]
+    where = [{m: i for i, m in enumerate(ms)} for ms in moved] + [index]
+    # add[j][w]: where in a layer-(j+1) column M + {w} is, for every M of size j
+    add = [
+        [[where[j + 1][tuple(sorted(m + (w,)))] for m in moved[j]] for w in range(n)]
+        for j in range(k)
+    ]
+    unmoved = moved + [list(index)]
+    # split[i]: (least cop, index of the rest) for every i-multiset U
+    split = [None] + [
+        [(u[0], where[i - 1][u[1:]]) for u in unmoved[i]] for i in range(1, k + 1)
+    ]
+    nbrs = [g.neighbors(v) for v in range(n)]
+
+    def union(masks):
+        cols = [masks]  # layer k: every cop has moved
+        for j in range(k - 1, -1, -1):
+            pick = add[j]
+            layer = []
+            for u, rest in split[k - j]:
+                read = cols[rest].__getitem__
+                out = map(read, pick[u])  # the cop stays
+                for w in nbrs[u]:
+                    out = map(or_, out, map(read, pick[w]))
+                layer.append(list(out))
+            cols = layer
+        return [c[0] for c in cols]  # layer 0: no cop has moved
+
+    return union
+
+
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
     """Solve one instance exactly; returns a SolveResult.
 
@@ -286,7 +355,8 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         )
     arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
     arena.validate_against(g)
-    positions = _positions(g.n, cfg.k, len(arena.vertices) * 2, budget)
+    teleport = cfg.variant == "teleport"
+    positions = _positions(g, cfg.k, len(arena.vertices) * 2, budget, layered=not teleport)
     index = {t: i for i, t in enumerate(positions)}
     occ = _occupancy(positions)
     amask = sum(1 << v for v in arena.vertices)
@@ -297,15 +367,14 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
     steps = [(1 << r, mv) for r, mv in rob_moves.items()]
     caught = [o & amask for o in occ]
 
-    if cfg.variant == "teleport":
-        successors = None
+    if teleport:
         cop = []
         for t, d in zip(positions, occ):  # standing on a cop is capture
             for c in set(t):
-                d |= g.adj[c] if cfg.teleport_open_neighborhood else g.closed_mask(c)
+                d |= g.closed_mask(c)
             cop.append(d & amask)
     else:
-        successors = [_team_moves(g, t, index) for t in positions]
+        moves = _cop_moves(g, cfg.k, index)
         cop = caught
 
     rounds = []
@@ -317,18 +386,14 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
             for m, c in zip(caught, cop)
         ]
         rounds.append((cop, rob))
-        if successors is None:
+        if teleport:
             # cops jump to any position avoiding the robber
             jump = 0
             for o, m in zip(occ, rob):
                 jump |= m & ~o
             nxt = [c | jump for c in cop]
         else:
-            nxt = []
-            for c, qs in zip(cop, successors):
-                for q in qs:
-                    c |= rob[q]
-                nxt.append(c)
+            nxt = list(map(or_, cop, moves(rob)))
         if nxt == cop:
             break
         cop = nxt
@@ -410,7 +475,7 @@ def _least_winning_k(g, template, budget, max_k=None):
             ).cops_win
         except StateBudgetError as e:
             raise StateBudgetError(
-                e.estimated, e.budget, lower_bound=max(lb, k)
+                e.estimated, e.budget, lower_bound=max(lb, k), counted=e.counted
             ) from None
 
     if dismantlable is not None and g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N:
@@ -485,26 +550,19 @@ def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
     robber vertices, computed until stabilization.  The robber does not
     pass; cop moves use the reflexive closure of the strong product."""
     n = g.n
-    positions = _positions(n, k, n, budget)
-    P = len(positions)
-    index = {t: i for i, t in enumerate(positions)}
-    pos_succ = [_team_moves(g, t, index) for t in positions]
+    positions = _positions(g, k, n, budget)
+    moves = _cop_moves(g, k, {t: i for i, t in enumerate(positions)})
     occ = _occupancy(positions)
 
     chain = [list(occ)]
     cum = list(occ)
     while True:
-        cover = []
-        for p in range(P):
-            u = 0
-            for q in pos_succ[p]:
-                u |= cum[q]
-            cover.append(u)
+        cover = moves(cum)
         new = []
-        for p in range(P):
+        for c in cover:
             m = 0
             for x in range(n):
-                if g.adj[x] & ~cover[p] == 0:
+                if g.adj[x] & ~c == 0:
                     m |= 1 << x
             new.append(m)
         if new == chain[-1]:

@@ -1,6 +1,7 @@
+import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from copwin import solver
 from copwin.enumeration import connected_graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
-from copwin.families import complete, cycle, path, petersen, polarity
+from copwin.families import complete, cycle, incidence, path, petersen, polarity
 from copwin.graphs import Graph, is_dismantlable
 from copwin.solver import (
     Arena,
     GameConfig,
     _bounds,
+    _cop_moves,
+    _layered_transitions,
+    _team_moves,
     c_G_of_m,
     cop_number,
     cops_win,
@@ -221,6 +225,60 @@ class TestGameSemantics:
         assert res.is_cop_win((0,), 1, "robber")
 
 
+def _or_all(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _product_rounds(g, k):
+    """The (C_L, R_L) round masks of the standard full-arena game with a
+    passing robber, from a table of every product successor."""
+    positions = list(combinations_with_replacement(range(g.n), k))
+    index = {t: i for i, t in enumerate(positions)}
+    succ = [
+        {index[tuple(sorted(c))] for c in product(*[[v] + g.neighbors(v) for v in t])}
+        for t in positions
+    ]
+    caught = [sum(1 << v for v in set(t)) for t in positions]
+    cop, rounds = caught, []
+    while True:
+        rob = [
+            m | sum(1 << r for r in range(g.n) if g.closed_mask(r) & ~c == 0)
+            for m, c in zip(caught, cop)
+        ]
+        rounds.append((cop, rob))
+        nxt = [c | _or_all(rob[q] for q in qs) for c, qs in zip(cop, succ)]
+        if nxt == cop:
+            return rounds
+        cop = nxt
+
+
+class TestLayeredMoves:
+    def test_union_matches_product_successors(self):
+        # every connected class n <= 6, k <= 3: the layered relation's
+        # union of a random mask vector is the OR over the product
+        # successors of each position
+        rng = random.Random(8)
+        for n in range(1, 7):
+            for g in connected_graph_classes(n):
+                for k in (1, 2, 3):
+                    positions = list(combinations_with_replacement(range(n), k))
+                    index = {t: i for i, t in enumerate(positions)}
+                    masks = [rng.getrandbits(n) for _ in positions]
+                    want = [
+                        _or_all(masks[q] for q in _team_moves(g, t, index))
+                        for t in positions
+                    ]
+                    assert _cop_moves(g, k, index)(masks) == want, (g, k)
+
+    def test_petersen_rounds_match_product_table(self, petersen_graph):
+        res = cops_win(petersen_graph, GameConfig(k=3))
+        assert res._rounds == _product_rounds(petersen_graph, 3)
+        assert res.cops_win
+
+
 class TestRestricted:
     def test_petersen_pentagon_arena(self, petersen_graph):
         # robber pinned to an induced 5-cycle of the Petersen graph while
@@ -274,11 +332,12 @@ class TestTeleport:
             assert teleport_cop_number(g) <= cop_number(g)
 
     def test_open_neighborhood_reading(self):
-        # with capture only on adjacency (not co-location) a lone cop
-        # still wins K2: the robber's placement is already adjacent
+        # a lone cop wins K2: the robber's placement is already adjacent.
+        # Capture on co-location as well as adjacency makes the danger
+        # zone occupancy plus N(c), which is N[c], so the open and the
+        # closed reading are one game
         g = Graph(2, [(0, 1)])
-        cfg = GameConfig(k=1, variant="teleport", teleport_open_neighborhood=True)
-        assert cops_win(g, cfg).cops_win
+        assert cops_win(g, GameConfig(k=1, variant="teleport")).cops_win
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -304,3 +363,32 @@ def test_state_spaces_sized_before_allocation(petersen_graph):
         tracemalloc.stop()
     assert isinstance(policy, _GreedyRobber)
     assert peak < 1 << 20
+
+
+def test_work_bound_by_arithmetic(hoffman_singleton_graph):
+    # Hoffman-Singleton with k = 4: 4,128,450 layered states with at
+    # most 8 moves each, and 292,825 positions of 100 states each
+    g = hoffman_singleton_graph
+    assert _layered_transitions(g.n, 4, g.max_degree()) == 33_027_600 == 4_128_450 * 8
+    assert math.comb(g.n + 3, 4) * 2 * g.n == 29_282_500
+
+
+def test_work_budget_refuses_before_allocation():
+    # incidence(3) with k = 4: 1,235,052 states fit the budget, but
+    # 1,586,520 layered transitions do not; building the relation it
+    # counts would take tens of megabytes
+    g = incidence(3)
+    assert math.comb(g.n + 3, 4) * 2 * g.n == 1_235_052
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetError) as solve:
+            cops_win(g, GameConfig(k=4), budget=1_500_000)
+        with pytest.raises(StateBudgetError) as chain:
+            preceq_fixpoint_wins(g, 4, budget=1_500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for e in (solve.value, chain.value):
+        assert (e.counted, e.estimated) == ("layered transitions", 1_586_520)
+        assert "1586520 layered transitions exceeds budget" in str(e)
