@@ -28,7 +28,7 @@ from collections import Counter
 from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
 from .families import FAMILIES, GraphFamily, generate
-from .graph6 import emit_graph6, read_graph6_lines
+from .graph6 import DEFAULT_MAX_N, emit_graph6, read_graph6_lines
 from .graphs import diameter, is_bipartite
 from .solver import (
     DEFAULT_STATE_BUDGET,
@@ -243,12 +243,18 @@ def cmd_scan(args, out):
 
 
 def cmd_gen(args, out):
+    # cycle, path and complete take the order: check the cap before the
+    # O(n^2)-bit rows are built
+    if args.family in ("cycle", "path", "complete") and (args.param or 0) > DEFAULT_MAX_N:
+        raise ValueError("graph order %d exceeds cap %d" % (args.param, DEFAULT_MAX_N))
     g = generate(GraphFamily(args.family, args.param))
     out.write(emit_graph6(g) + "\n")  # under the cap every reader applies
     return EXIT_OK
 
 
 def cmd_trap(args, out):
+    if args.alpha is not None and not 0 <= args.alpha < math.inf:
+        raise ValueError("--alpha must be finite and nonnegative, got %r" % args.alpha)
     found = set()
     for g in _graphs(args, out, TRAP_SCAN_MAX_N, found):
         alpha = args.alpha if args.alpha is not None else float(math.isqrt(g.n))

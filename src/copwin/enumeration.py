@@ -27,12 +27,8 @@ from .graphs import Graph, bits, is_connected
 ENUMERATION_MAX_N = 8
 
 
-def enumerate_connected(n, predicate=None):
-    """Yield every labeled simple connected graph on n vertices once.
-
-    ``predicate``, when given, additionally filters the yielded graphs
-    (it sees the Graph, after the connectivity check).
-    """
+def enumerate_connected(n):
+    """Yield every labeled simple connected graph on n vertices once."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(
             "enumerate_connected supports 1 <= n <= %d, got %d"
@@ -50,7 +46,7 @@ def enumerate_connected(n, predicate=None):
             adj[v] |= 1 << u
             m ^= low
         g = Graph.from_masks(adj)
-        if is_connected(g) and (predicate is None or predicate(g)):
+        if is_connected(g):
             yield g
 
 

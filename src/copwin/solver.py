@@ -18,14 +18,16 @@ and, where it uses the layered relation, that bound on its transitions
 must each be within the budget.
 
 Winning states are the cop attractor of the capture states, computed in
-rounds over per-position bitmasks of robber vertices:
+rounds over per-position bitmasks of robber vertices.  One loop serves
+every game; each round is a robber step and a cop-move union:
 
-* C_0[p] is the set of arena vertices on which a robber facing cop
-  position p with the cops to move is already caught.
-* R_L[p] adds to the occupied arena vertices of p every arena vertex
-  all of whose robber moves lie in C_L[p]: the robber to move there
-  loses within L cop rounds.
-* C_{L+1}[p] is C_L[p] together with R_L[q] for every successor q of p.
+* C_0[p], the capture mask, is the set of arena vertices on which a
+  robber facing cop position p with the cops to move is already caught.
+* R_L[p], the robber step, adds to the occupied arena vertices of p
+  every arena vertex all of whose robber moves lie in C_L[p]: the
+  robber to move there loses within L cop rounds.
+* C_{L+1}[p], the cop-move union, is C_L[p] together with R_L[q] for
+  every position q the cops at p can move to.
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
@@ -33,17 +35,18 @@ capture.  Results keep only the per-round masks and read labels,
 levels and both sides' replies from them on demand; a cop reply builds
 the successors of its one position.
 
-Two variants:
+The variant picks only C_0 and the cop-move union:
 
 * standard -- capture when a cop occupies the robber's vertex, checked
-  at placement and after each side's move.
+  at placement and after each side's move.  The union walks the layered
+  relation.
 * teleport -- each cop may jump to any vertex except the robber's
   current one; the robber loses as soon as his own round (or his
   placement) ends in the closed neighbourhood of a cop.  C_0[p] is then
-  the arena part of that danger zone.  Since every position that avoids
-  the robber is one jump away, the round collapses to
-  C_{L+1}[p] = C_L[p] | T_L, with T_L the union of R_L[q] minus the
-  occupied vertices of q over all positions q.
+  the arena part of that danger zone.  Every position that avoids the
+  robber is one jump away, so the union is the same jump mask at every
+  position: the OR of R_L[q] minus the occupied vertices of q over all
+  positions q.
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -52,14 +55,16 @@ are about.
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
 search, _least_winning_k, which solves only the k in [LB, UB):
 
-* LB is 1, except in the standard full-arena game: there it is 1 for a
-  dismantlable graph and 2 otherwise, raised to the minimum degree when
-  the girth is at least 5 (Aigner and Fromme, 1984).
-* UB is the least number of vertices whose closed neighbourhoods cover
-  the robber's arena (the domination number for the full arena): cops
-  placed there catch the robber on their first move.  The cover search
-  stops at a cover of LB vertices; after COVER_MAX_NODES branch-and-
-  bound nodes it gives up, and the search runs with no UB.
+* In the standard full-arena game a dismantlable graph has LB = UB = 1
+  (Nowakowski and Winkler, 1983).  Otherwise LB is 2 there, raised to
+  the minimum degree when the girth is at least 5 (Aigner and Fromme,
+  1984); in every other game LB is 1.
+* Otherwise UB is the least number of vertices whose closed
+  neighbourhoods cover the robber's arena (the domination number for
+  the full arena): cops placed there catch the robber on their first
+  move.  The cover search stops at a cover of LB vertices; after
+  COVER_MAX_NODES branch-and-bound nodes it gives up, and the search
+  runs with no UB.
 """
 
 from __future__ import annotations
@@ -96,13 +101,8 @@ class Arena:
     @classmethod
     def induced(cls, g, verts):
         verts = tuple(sorted(set(verts)))
-        vm = 0
-        for v in verts:
-            vm |= 1 << v
-        adj = [0] * g.n
-        for v in verts:
-            adj[v] = g.adj[v] & vm
-        return cls(verts, tuple(adj))
+        vm = sum(1 << v for v in verts)
+        return cls(verts, tuple(a & vm if vm >> v & 1 else 0 for v, a in enumerate(g.adj)))
 
     @classmethod
     def from_edges(cls, g, verts, edges):
@@ -123,13 +123,18 @@ class Arena:
         return cls(tuple(range(g.n)), g.adj)
 
     def validate_against(self, g):
+        """Vertices strictly increasing labels of g; one mask per vertex
+        of g, naming only edges of g inside the arena."""
         if not self.vertices:
             raise ValueError("arena must be nonempty")
-        for v in self.vertices:
-            if not 0 <= v < g.n:
-                raise ValueError("arena vertex %d out of range" % v)
-            if self.adj[v] & ~g.adj[v]:
-                raise ValueError("arena has a non-edge of G at vertex %d" % v)
+        if len(self.adj) != g.n:
+            raise ValueError("arena has %d masks for %d vertices" % (len(self.adj), g.n))
+        for u, v in zip((-1,) + self.vertices, self.vertices):
+            if not u < v < g.n:
+                raise ValueError("arena vertex %d out of range or out of order" % v)
+        for v, inside in enumerate(Arena.induced(g, self.vertices).adj):
+            if self.adj[v] & ~inside:
+                raise ValueError("arena edge at vertex %d is not an edge of G inside the arena" % v)
 
 
 @dataclass(frozen=True)
@@ -282,13 +287,7 @@ def _positions(g, k, per_position, budget, layered=True):
 
 
 def _occupancy(positions):
-    out = []
-    for t in positions:
-        m = 0
-        for v in t:
-            m |= 1 << v
-        out.append(m)
-    return out
+    return [sum(1 << v for v in set(t)) for t in positions]
 
 
 def _team_moves(g, t, index):
@@ -343,6 +342,14 @@ def _cop_moves(g, k, index):
     return union
 
 
+def _robber_step(moves):
+    """The robber step of (vertex, mask of its moves) pairs, as a
+    function: per mask, the vertices all of whose moves lie in it."""
+    steps = [(1 << r, mv) for r, mv in moves]
+    # the bits are distinct, so their sum is their union
+    return lambda masks: [sum(bit for bit, mv in steps if not mv & ~c) for c in masks]
+
+
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
     """Solve one instance exactly; returns a SolveResult.
 
@@ -364,7 +371,7 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         r: arena.adj[r] | (1 << r if cfg.robber_may_pass else 0)
         for r in arena.vertices
     }
-    steps = [(1 << r, mv) for r, mv in rob_moves.items()]
+    trapped = _robber_step(rob_moves.items())
     caught = [o & amask for o in occ]
 
     if teleport:
@@ -373,76 +380,60 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
             for c in set(t):
                 d |= g.closed_mask(c)
             cop.append(d & amask)
-    else:
-        moves = _cop_moves(g, cfg.k, index)
-        cop = caught
 
-    rounds = []
-    while True:
-        # a robber to move loses where caught or where every move is;
-        # the bits are distinct, so their sum is their union
-        rob = [
-            m | sum(bit for bit, mv in steps if not mv & ~c)
-            for m, c in zip(caught, cop)
-        ]
-        rounds.append((cop, rob))
-        if teleport:
-            # cops jump to any position avoiding the robber
+        def moves(rob):  # cops jump to any position avoiding the robber
             jump = 0
             for o, m in zip(occ, rob):
                 jump |= m & ~o
-            nxt = [c | jump for c in cop]
-        else:
-            nxt = list(map(or_, cop, moves(rob)))
+            return [jump] * len(occ)
+    else:
+        cop = caught
+        moves = _cop_moves(g, cfg.k, index)
+
+    rounds = []
+    while True:
+        # a robber to move loses where caught or where every move is
+        rob = list(map(or_, caught, trapped(cop)))
+        rounds.append((cop, rob))
+        nxt = list(map(or_, cop, moves(rob)))
         if nxt == cop:
             break
         cop = nxt
     return SolveResult(g, cfg, tuple(positions), index, arena.vertices, rob_moves, rounds)
 
 
-def cop_number(
-    g,
-    budget=DEFAULT_STATE_BUDGET,
-    allow_disconnected=False,
-    variant="standard",
-    max_k=None,
-):
-    """Least k for which k cops win, searched between bounds: LB is 1,
-    or in the standard game 2 for a non-dismantlable graph, raised to
-    the minimum degree when girth >= 5; UB is the domination number
+def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
+    """Least k for which k cops win, searched between bounds: a
+    dismantlable graph has c = 1; otherwise LB is 2, raised to the
+    minimum degree when girth >= 5, and UB is the domination number
     (none if its search gives up).  The k=1 verdict is cross-checked
-    against dismantlability on small standard instances.  An answer
-    above max_k raises CopwinError.
+    against dismantlability on small instances.  An answer above max_k
+    raises CopwinError.
 
-    For a disconnected graph (with allow_disconnected) the standard
-    value is the sum over components.  Teleporting cops jump between
-    components, so c_T is searched on the whole graph: its bounds (LB 1,
-    UB the domination number) hold there too.
+    For a disconnected graph (with allow_disconnected) the value is the
+    sum over components.
     """
     if not is_connected(g):
         if not allow_disconnected:
             raise DisconnectedGraphError(
                 "cop number of a disconnected graph needs allow_disconnected"
             )
-        if variant == "standard":
-            return sum(
-                cop_number(c, budget=budget, variant=variant, max_k=max_k)
-                for c in _components(g)
-            )
-    return _least_winning_k(g, GameConfig(variant=variant), budget, max_k)
+        return sum(cop_number(c, budget=budget, max_k=max_k) for c in _components(g))
+    return _least_winning_k(g, GameConfig(), budget, max_k)
 
 
 def _bounds(g, template):
     """(LB, UB, dismantlable) for the least winning k in the game
-    template on connected g, by the rules in the module docstring.  UB
-    is None when the cover search gives up or exceeds the transversal
-    solver's caps; dismantlable is None unless LB needed it."""
+    template on g, by the rules in the module docstring.  UB is None
+    when the cover search gives up or exceeds the transversal solver's
+    caps; dismantlable is None outside the standard full-arena game."""
     lb, dismantlable = 1, None
     arena = template.robber_arena
     if template.variant == "standard" and arena is None and template.robber_may_pass:
         dismantlable = is_dismantlable(g)
-        if not dismantlable:
-            lb = 2
+        if dismantlable:
+            return 1, 1, True
+        lb = 2
         if girth(g) >= 5:
             lb = max(lb, min(g.degrees()))
     verts = range(g.n) if arena is None else arena.vertices
@@ -483,8 +474,6 @@ def _least_winning_k(g, template, budget, max_k=None):
             raise CopwinError(
                 "solver/dismantlability mismatch on %d-vertex graph" % g.n
             )
-        if dismantlable:
-            ub = 1
     stop = top + 1 if ub is None else min(ub, top + 1)
     for k in range(lb, stop):
         if wins(k):
@@ -539,32 +528,31 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
 
 
 def teleport_cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
-    """c_T(G): least number of teleporting cops that win."""
-    return cop_number(
-        g, budget=budget, allow_disconnected=allow_disconnected, variant="teleport"
-    )
+    """c_T(G): least number of teleporting cops that win.
+
+    Teleporting cops jump between components, so for a disconnected
+    graph (with allow_disconnected) c_T is searched on the whole graph:
+    its bounds (LB 1, UB the domination number) hold there too."""
+    if not allow_disconnected and not is_connected(g):
+        raise DisconnectedGraphError(
+            "cop number of a disconnected graph needs allow_disconnected"
+        )
+    return _least_winning_k(g, GameConfig(variant="teleport"), budget)
 
 
 def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
     """Relation chain rel[0], rel[1], ... as per-position bitmasks over
     robber vertices, computed until stabilization.  The robber does not
     pass; cop moves use the reflexive closure of the strong product."""
-    n = g.n
-    positions = _positions(g, k, n, budget)
+    positions = _positions(g, k, g.n, budget)
     moves = _cop_moves(g, k, {t: i for i, t in enumerate(positions)})
+    trapped = _robber_step(enumerate(g.adj))
     occ = _occupancy(positions)
 
     chain = [list(occ)]
     cum = list(occ)
     while True:
-        cover = moves(cum)
-        new = []
-        for c in cover:
-            m = 0
-            for x in range(n):
-                if g.adj[x] & ~c == 0:
-                    m |= 1 << x
-            new.append(m)
+        new = trapped(moves(cum))
         if new == chain[-1]:
             return positions, chain
         chain.append(new)

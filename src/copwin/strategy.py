@@ -12,7 +12,8 @@ into the closed neighbourhood of its target (one step suffices at
 diameter 2), and capture as soon as any cop starts its turn adjacent to
 the robber.  Its correctness is established by exhaustive simulation
 against the exactly-optimal robber on all small diameter-2 arenas, not
-assumed.
+assumed.  That robber is the SolveResult of the full game: its
+robber_placement and robber_move are the optimal replies.
 """
 
 from __future__ import annotations
@@ -154,47 +155,32 @@ def lemma2_move(g, arena, cop_list, robber):
 
 
 class _GreedyRobber:
-    """Max distance-to-nearest-cop policy, lowest label on ties."""
-
-    name = "greedy"
+    """Max distance-to-nearest-cop policy, lowest label on ties.  It
+    answers the robber's two queries as a SolveResult does."""
 
     def __init__(self, g):
         self.g = g
         self.dist = [bfs_distances(g, v) for v in range(g.n)]
 
-    def _score(self, v, cop_list):
-        return min(self.dist[v][c] for c in cop_list)
+    def _best(self, options, cops):
+        return max(options, key=lambda v: (min(self.dist[v][c] for c in cops), -v))
 
-    def place(self, cop_list):
-        return max(range(self.g.n), key=lambda v: (self._score(v, cop_list), -v))
+    def robber_placement(self, cops):
+        return self._best(range(self.g.n), cops)
 
-    def move(self, robber, cop_list):
-        options = [robber] + self.g.neighbors(robber)
-        return max(options, key=lambda v: (self._score(v, cop_list), -v))
-
-
-class _TableRobber:
-    """Exactly-optimal robber driven by full-game solve tables."""
-
-    name = "optimal"
-
-    def __init__(self, g, k, budget):
-        self.result = cops_win(g, GameConfig(k=k), budget=budget)
-
-    def place(self, cop_list):
-        return self.result.robber_placement(cop_list)
-
-    def move(self, robber, cop_list):
-        return self.result.robber_move(cop_list, robber)
+    def robber_move(self, cops, robber):
+        return self._best([robber] + self.g.neighbors(robber), cops)
 
 
 def _robber_policy(g, plan, name):
+    """The robber that plays: for "optimal" the full game's SolveResult
+    when it fits OPTIMAL_ROBBER_STATE_CAP, else a _GreedyRobber."""
     if name == "greedy":
         return _GreedyRobber(g)
     if name != "optimal":
         raise ValueError("robber_policy must be 'optimal' or 'greedy'")
     try:
-        return _TableRobber(g, max(plan.total_cops, 1), OPTIMAL_ROBBER_STATE_CAP)
+        return cops_win(g, GameConfig(k=plan.total_cops), budget=OPTIMAL_ROBBER_STATE_CAP)
     except StateBudgetError:
         # state space too large to tabulate; fall back to the greedy
         # adversary, as for any large instance
@@ -203,6 +189,8 @@ def _robber_policy(g, plan, name):
 
 def simulate(g, plan, robber_policy="optimal", max_rounds=None):
     """Play the plan against a robber policy; returns a StrategyTrace.
+    The optimal robber is the SolveResult of the full game with the
+    plan's cops; the greedy one answers the same two queries.
 
     Stationary cops hold their vertices and strike any robber entering
     their closed neighbourhood; mobile cops run the bounded-degree chase
@@ -211,21 +199,18 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
     if max_rounds is None:
         max_rounds = 4 * g.n
     policy = _robber_policy(g, plan, robber_policy)
+    name = "greedy" if isinstance(policy, _GreedyRobber) else "optimal"
 
     guard_verts = [s.vertex for s in plan.stationary]
     start = guard_verts[0] if guard_verts else 0
     cop_list = guard_verts + [start] * plan.mobile_cop_count
-    if not cop_list:
-        cop_list = [0]
     nguards = len(guard_verts)
 
-    robber = policy.place(cop_list)
+    robber = policy.robber_placement(cop_list)
     rounds = [(0, tuple(cop_list), robber)]
 
     def trace(outcome, capture_round):
-        return StrategyTrace(
-            tuple(rounds), outcome, capture_round, max_rounds, policy.name
-        )
+        return StrategyTrace(tuple(rounds), outcome, capture_round, max_rounds, name)
 
     if robber in cop_list:
         return trace("captured", 0)
@@ -251,7 +236,7 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
             rounds.append((rnd, tuple(cop_list), robber))
             return trace("captured", rnd)
         # robber's move
-        robber = policy.move(robber, cop_list)
+        robber = policy.robber_move(cop_list, robber)
         rounds.append((rnd, tuple(cop_list), robber))
         if robber in cop_list:
             return trace("captured", rnd)

@@ -14,7 +14,7 @@ inequality, never used in place of the exact solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 TRANSVERSAL_MAX_N = 64
@@ -42,22 +42,6 @@ class Hypergraph:
         """Common edge size, or None if not uniform (or edgeless)."""
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
-
-    @classmethod
-    def from_text(cls, text):
-        """Fixture format: first line "n m", then one edge per line as
-        space-separated vertex indices."""
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        n, m = map(int, lines[0].split())
-        edges = [frozenset(map(int, ln.split())) for ln in lines[1 : 1 + m]]
-        if len(edges) != m:
-            raise ValueError("expected %d edges, found %d" % (m, len(edges)))
-        return cls(n, edges)
-
-    def to_text(self):
-        rows = ["%d %d" % (self.n, len(self.edges))]
-        rows += [" ".join(str(v) for v in sorted(e)) for e in self.edges]
-        return "\n".join(rows) + "\n"
 
 
 def _matching_lower_bound(edge_masks):
@@ -185,15 +169,8 @@ def is_s_trap(g, v, s):
     return trap_threshold(g, v) <= math.floor(s)
 
 
-def count_alpha_traps(g, alpha, check_range=False):
-    """Number of alpha-traps.  With check_range, reject alpha outside the
-    trap-count lemma's window sqrt(n) <= alpha <= n."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if check_range and (alpha > g.n or alpha * alpha < g.n):
-        raise ValueError(
-            "alpha=%r outside [sqrt(n), n] for n=%d" % (alpha, g.n)
-        )
+def count_alpha_traps(g, alpha):
+    """Number of alpha-traps."""
     return trap_report(g, alpha)[1]
 
 
@@ -233,10 +210,12 @@ def check_lemma4(g):
 
 def trap_report(g, alpha=None):
     """Per-vertex thresholds plus the alpha-trap count for the given
-    alpha (default sqrt(n))."""
-    thresholds = [trap_threshold(g, v) for v in range(g.n)]
+    alpha (default sqrt(n)), which must be finite and nonnegative."""
     if alpha is None:
         alpha = math.isqrt(g.n)
+    elif not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative, got %r" % alpha)
+    thresholds = [trap_threshold(g, v) for v in range(g.n)]
     floor_alpha = math.floor(alpha)
     count = sum(1 for t in thresholds if t <= floor_alpha)
     return thresholds, count

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,19 @@ class TestGen:
         assert text == ""
         assert "exceeds cap 64" in capsys.readouterr().err
 
+    def test_order_checked_before_building(self, capsys):
+        # a complete graph on 1500 vertices would take ~100 MB of rows
+        tracemalloc.start()
+        try:
+            code, text = run(["gen", "--family", "complete", "--param", "1500"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "exceeds cap 64" in capsys.readouterr().err
+        assert peak < 1 << 20
+
 
 class TestTrap:
     def test_petersen_thresholds(self, petersen_file):
@@ -229,6 +243,14 @@ class TestTrap:
     def test_alpha_override(self, petersen_file):
         _, text = run(["trap", "--input", petersen_file, "--alpha", "2"])
         assert "alpha_traps=0" in text
+
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "-1"])
+    def test_alpha_must_be_finite_and_nonnegative(self, bad_file, alpha, capsys):
+        # rejected before the bad line's parse_error record is written
+        code, text = run(["trap", "--input", bad_file, "--alpha=" + alpha])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestIneq:

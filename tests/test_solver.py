@@ -80,6 +80,17 @@ class TestCopNumber:
         assert cop_number(petersen_graph) == 3
         assert teleport_cop_number(petersen_graph) == 3
 
+    def test_dismantlable_settled_by_bounds(self, monkeypatch):
+        # c = 1 for a dismantlable graph: no cover search runs, and on
+        # more than DISMANTLABLE_CROSS_CHECK_MAX_N vertices no solve either
+        def refuse(*args, **kwargs):
+            raise AssertionError("cover search ran")
+
+        monkeypatch.setattr(solver, "_min_transversal_masks", refuse)
+        assert _bounds(path(6), GameConfig()) == (1, 1, True)
+        assert cop_number(path(6)) == 1
+        assert cop_number(complete(40), budget=10) == 1
+
     def test_max_k_exhausted(self):
         with pytest.raises(CopwinError):
             cop_number(cycle(4), max_k=1)
@@ -307,6 +318,33 @@ class TestRestricted:
         g = cycle(4)
         with pytest.raises(ValueError):
             Arena.from_edges(g, range(4), [(0, 2)])
+
+    def test_arena_rejects_duplicate_vertices(self):
+        # a repeated vertex would carry into the next bit of the arena mask
+        g = cycle(6)
+        arena = Arena((0, 0, 1), Arena.induced(g, (0, 1)).adj)
+        with pytest.raises(ValueError):
+            cops_win(g, GameConfig(robber_arena=arena))
+        with pytest.raises(ValueError):
+            Arena((1, 0), Arena.induced(g, (0, 1)).adj).validate_against(g)
+
+    def test_arena_rejects_edges_leaving_it(self):
+        # the edge 1-2 of C6 is an edge of G, but 2 is off the arena
+        g = cycle(6)
+        adj = list(Arena.induced(g, (0, 1)).adj)
+        adj[1] |= 1 << 2
+        with pytest.raises(ValueError):
+            cops_win(g, GameConfig(robber_arena=Arena((0, 1), tuple(adj))))
+        adj = list(Arena.induced(g, (0, 1)).adj)
+        adj[2] = 1 << 1 | 1 << 3  # a mask on an off-arena vertex
+        with pytest.raises(ValueError):
+            restricted_cop_number(g, Arena((0, 1), tuple(adj)))
+
+    def test_arena_needs_one_mask_per_vertex(self):
+        g = cycle(6)
+        short = Arena((0, 1), Arena.induced(g, (0, 1)).adj[:2])
+        with pytest.raises(ValueError):
+            cops_win(g, GameConfig(robber_arena=short))
 
     def test_c_g_of_m_monotone(self):
         g = cycle(6)
