@@ -15,7 +15,16 @@ Two enumeration styles:
 
 The canonical form is a minimum adjacency code over orderings that
 respect an iterated degree refinement.  Refinement only prunes the
-search; it never merges non-isomorphic graphs.
+search; it never merges non-isomorphic graphs.  Three exact cuts leave
+the chosen ordering unchanged:
+
+* the refinement stops at the first round that splits no cell, since
+  further rounds would not change the partition either;
+* a discrete refinement admits one ordering, so it is the answer with
+  no search;
+* the search skips a vertex that is a twin of one already tried at the
+  same node, since swapping twins is an automorphism that fixes the
+  placed prefix and so repeats the earlier subtree's codes.
 """
 
 from __future__ import annotations
@@ -50,21 +59,28 @@ def enumerate_connected(n):
             yield g
 
 
-def _refine_colors(g):
-    """Iterated neighbor-color refinement; returns a label-invariant
-    coloring as a list of color indices, colors ordered by their key."""
-    colors = [g.adj[v].bit_count() for v in range(g.n)]
+def _refine_colors(nbrs):
+    """Iterated neighbor-color refinement from the degrees; returns a
+    label-invariant coloring as a list of color indices, colors ordered
+    by their key.
+
+    A round only splits cells, since a key starts with the vertex's own
+    color.  So a round that splits no cell is the fixpoint, up to the
+    renumbering it already did, and a discrete coloring cannot split.
+    """
+    colors = [len(ns) for ns in nbrs]
+    cells = len(set(colors))
     while True:
         keys = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
+            (colors[v], tuple(sorted([colors[u] for u in ns])))
+            for v, ns in enumerate(nbrs)
         ]
         order = sorted(set(keys))
         index = {k: i for i, k in enumerate(order)}
-        new = [index[k] for k in keys]
-        if new == colors:
+        colors = [index[k] for k in keys]
+        if len(order) in (cells, len(nbrs)):
             return colors
-        colors = new
+        cells = len(order)
 
 
 def canonical_order(g):
@@ -72,16 +88,50 @@ def canonical_order(g):
     orderings consistent with the degree refinement.
 
     The code of an ordering is the tuple of per-vertex adjacency rows
-    restricted to earlier positions, compared lexicographically.
+    restricted to earlier positions, compared lexicographically.  Ties
+    go to the first minimum ordering in a depth-first search that places
+    the refined cells in color order, each cell's vertices ascending.
+
+    Three cuts leave that ordering unchanged:
+
+    * the refinement stops at the first round that splits no cell: a
+      later round would split none either, so the cells are final;
+    * a discrete refinement is the order itself: it admits one ordering;
+    * at each search node a candidate is skipped when it is a twin of
+      one already tried there (v and w are twins when N(v) - {w} =
+      N(w) - {v}): swapping them is an automorphism fixing the placed
+      prefix, so the later subtree repeats the earlier one's codes.
     """
+    return _order_and_neighbors(g)[0]
+
+
+def _order_and_neighbors(g):
+    """canonical_order(g) and the neighbour lists it was computed from."""
     n = g.n
-    colors = _refine_colors(g)
+    adj = g.adj
+    nbrs = [list(bits(m)) for m in adj]
+    colors = _refine_colors(nbrs)
     cells = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
+    if len(cells) == n:
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        return order, nbrs
     cell_seq = [cells[c] for c in sorted(cells)]
 
-    adj = g.adj
+    # twin[v]: least twin of v (v itself if none).  Twins share their
+    # open neighbourhoods (non-adjacent) or their closed ones (adjacent).
+    # N(v) = N[w] is impossible (w in N(v) puts v in N(w), so in N(v)),
+    # so one dict holds both kinds of key.
+    first = {}
+    twin = []
+    for v, m in enumerate(adj):
+        t = first.get(m, first.get(m | 1 << v, v))
+        first[m] = first[m | 1 << v] = t
+        twin.append(t)
+
     placed = [0] * n
     rows = [0] * n
     used = [False] * n
@@ -99,7 +149,11 @@ def canonical_order(g):
         cell = cell_seq[cell_idx]
         remaining = [v for v in cell if not used[v]]
         next_cell = cell_idx + (1 if len(remaining) == 1 else 0)
+        tried = set()
         for v in remaining:
+            if twin[v] in tried:
+                continue
+            tried.add(twin[v])
             av = adj[v]
             row = 0
             for i in range(depth):
@@ -116,18 +170,16 @@ def canonical_order(g):
             used[v] = False
 
     dfs(0, 0, True)
-    return best_order
+    return best_order, nbrs
 
 
 def canonical_graph(g):
     """Relabel g canonically (isomorphic graphs map to equal Graphs)."""
-    order = canonical_order(g)
-    pos = [0] * g.n
+    order, nbrs = _order_and_neighbors(g)
+    bit = [0] * g.n
     for i, v in enumerate(order):
-        pos[v] = i
-    return Graph.from_masks(
-        [sum(1 << pos[u] for u in bits(g.adj[v])) for v in order]
-    )
+        bit[v] = 1 << i
+    return Graph.from_masks([sum(map(bit.__getitem__, nbrs[v])) for v in order])
 
 
 @lru_cache(maxsize=None)

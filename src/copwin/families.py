@@ -102,12 +102,13 @@ def hoffman_singleton():
 
 
 def _check_prime(q):
-    if not _is_prime(q):
-        raise UnsupportedParameterError("q=%d is not prime" % q)
+    # the cap first: trial division on a huge q would run for minutes
     if q > MAX_PRIME:
         raise UnsupportedParameterError(
             "q=%d exceeds supported maximum %d" % (q, MAX_PRIME)
         )
+    if not _is_prime(q):
+        raise UnsupportedParameterError("q=%d is not prime" % q)
 
 
 def projective_points(q):

@@ -79,12 +79,21 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     floor is a lower bound on the answer known to the caller: the first
     cover of at most floor vertices ends the search.  With max_nodes,
     the search gives up and returns None after that many inner nodes.
+
+    One-vertex exit: when every edge shares a vertex, the least shared
+    vertex is the answer, with no search; it is also the cover the
+    search would find first.
     """
     if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
             "transversal solver capped at n <= %d, m <= %d"
             % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
         )
+    shared = -1
+    for e in edge_masks:
+        shared &= e
+    if edge_masks and shared:
+        return 1, [(shared & -shared).bit_length() - 1]
     # dedup and drop supersets: an edge containing another is hit whenever
     # the smaller one is.
     edge_masks = sorted(set(edge_masks), key=lambda m: m.bit_count())

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from copwin import families
 from copwin.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -231,6 +232,18 @@ class TestGen:
         assert text == ""
         assert "exceeds cap 64" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    def test_prime_cap_checked_before_primality(self, monkeypatch, capsys):
+        # trial division on this q took seconds before the cap was checked
+        def no_trial_division(q):
+            raise AssertionError("primality tested before the cap")
+
+        monkeypatch.setattr(families, "_is_prime", no_trial_division)
+        code, text = run(["gen", "--family", "polarity", "--param", "100000000000031"])
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds supported maximum 13" in err
 
 
 class TestTrap:

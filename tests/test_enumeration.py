@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import os
 import random
 
@@ -6,15 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import (
     canonical_graph,
+    canonical_order,
     connected_graph_classes,
     enumerate_connected,
     graph_classes,
 )
+from copwin.families import complete, cycle, path
 from copwin.graph6 import emit_graph6
 from copwin.graphs import Graph, is_connected
 
 # graph6 line of each connected class for n = 1..7, in enumeration order
 CONNECTED_LE7 = os.path.join(os.path.dirname(__file__), "data", "connected_classes_le7.g6")
+
+# sha256 of the graph6 lines (each plus "\n") of all 12,346 classes on 8
+# vertices, in graph_classes order
+GRAPH_CLASSES_8_SHA256 = "7b11794da844370f8d16b2bce8dece53ed048b8249cb8b7a92e00f90c0652e19"
 
 
 # labeled connected graph counts; n=3 by hand (path x3 + triangle), n=4 by
@@ -82,6 +90,85 @@ class TestCanonical:
         assert canonical_graph(cg).adj == cg.adj
 
 
+def _refined_cells(g):
+    """Reference degree refinement, iterated until a round changes no
+    color: the cells in color order, each ascending."""
+    colors = g.degrees()
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colors:
+            return [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+        colors = new
+
+
+def _code(g, order):
+    """Adjacency rows restricted to earlier positions, earliest bit high."""
+    return tuple(
+        sum((g.adj[v] >> order[j] & 1) << (i - 1 - j) for j in range(i))
+        for i, v in enumerate(order)
+    )
+
+
+def _brute_force_order(g):
+    """The first ordering of least code among all orderings that place
+    the refined cells in order; per-cell permutations come in
+    lexicographic order, so the first minimum is the search's tie-break."""
+    orderings = itertools.product(*(itertools.permutations(c) for c in _refined_cells(g)))
+    return list(min((sum(p, ()) for p in orderings), key=lambda o: _code(g, o)))
+
+
+def _complete_multipartite(*parts):
+    n = sum(parts)
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
+def _cube():
+    return Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])
+
+
+# twin-rich graphs, where the twin rule cuts most; C_n and Q3 have no
+# twins, and P7's refinement splits cells in two rounds after the degrees
+NAMED_GRAPHS = {
+    "K7": complete(7),
+    "empty7": Graph(7),
+    "K2,5": _complete_multipartite(2, 5),
+    "K3,3": _complete_multipartite(3, 3),
+    "K1,2,3": _complete_multipartite(1, 2, 3),
+    "K2,2,2": _complete_multipartite(2, 2, 2),
+    "C6": cycle(6),
+    "C7": cycle(7),
+    "Q3": _cube(),
+    "P7": path(7),
+}
+
+
+class TestCanonicalExactness:
+    """canonical_order against a brute-force minimum over every ordering
+    consistent with the refined cells: the refinement's early stop, the
+    discrete shortcut and the twin rule must not change the answer."""
+
+    @given(st.integers(1, 7), st.integers(0, 1 << 21), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, n, mask, rnd):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = relabel(g, perm)
+        assert canonical_order(g) == _brute_force_order(g)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+    def test_named_graphs(self, name):
+        g = NAMED_GRAPHS[name]
+        assert canonical_order(g) == _brute_force_order(g)
+
+
 class TestClasses:
     @pytest.mark.parametrize("n,counts", sorted(CLASS_COUNTS.items()))
     def test_class_counts(self, n, counts):
@@ -108,3 +195,7 @@ class TestClasses:
         )
         with open(CONNECTED_LE7, newline="") as fh:
             assert text == fh.read()
+
+    def test_classes_n8_pinned(self):
+        text = "".join(emit_graph6(g) + "\n" for g in graph_classes(8))
+        assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_CLASSES_8_SHA256

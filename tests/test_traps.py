@@ -78,6 +78,10 @@ class TestMinTransversal:
         size, witness = min_transversal(h)
         assert (size, witness) == (1, frozenset({0}))
 
+    def test_least_shared_vertex_is_the_witness(self):
+        h = Hypergraph(5, [{2, 3, 4}, {1, 2, 3}, {2, 3}])
+        assert min_transversal(h) == (1, frozenset({2}))
+
     def test_superset_edges_ignored(self):
         h = Hypergraph(5, [{0, 1}, {0, 1, 2, 3}])
         assert min_transversal(h)[0] == 1
