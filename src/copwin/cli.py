@@ -52,8 +52,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-SOLVER_SCAN_MAX_N = 7
-TRAP_SCAN_MAX_N = 8
+SOLVER_SCAN_MAX_N = 9
+TRAP_SCAN_MAX_N = 9
 
 SOLVER_CHECKS = ("theorem1", "conj_sqrt_n", "conj_teleport", "preceq_equiv")
 ALL_CHECKS = SOLVER_CHECKS + ("lemma4", "lemma5")
@@ -307,7 +307,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="cop numbers for a graph6 stream")
     common(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                    help="budget per solve on states and layered transitions")
+                    help="budget per solve on states and bytes kept")
     sp.add_argument("--timing", action="store_true")
     sp.add_argument("--allow-disconnected", action="store_true")
     sp.add_argument("--variant", choices=("standard", "teleport"),
@@ -319,7 +319,7 @@ def build_parser():
     sp = sub.add_parser("scan", help="theorem and conjecture scans")
     common(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                    help="budget per solve on states and layered transitions")
+                    help="budget per solve on states and bytes kept")
     sp.add_argument("--seed", type=int, default=0, help="echoed in the header")
     sp.add_argument("--check", required=True, choices=ALL_CHECKS)
     sp.add_argument("--all", action="store_true",

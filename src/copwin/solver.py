@@ -1,24 +1,43 @@
-"""Exact decision of "do k cops win?" by backward induction.
+"""Exact decision of "do k cops win?" by backward induction
+(Berarducci and Intrigila, "On the cop number of a graph", 1993).
 
 States are (cop multiset, robber vertex, side to move).  The cop team's
 move relation is the reflexive closure of the k-fold strong product of G
-(each cop moves along an edge or stays).  It is never listed: a layered
-relation moves one cop at a time (after Petr, Portier and Versteegen,
-"A faster algorithm for Cops and Robbers", 2022).  Its layer-j states
-are pairs (M, U): M the multiset of the j cops that have moved, U the
-k - j that have not; the least cop of U moves next.  Position p is the
-layer-0 state (empty, p) and the layer-k state (p, empty), so ORing a
-per-position mask vector backwards over the k layers gives, at every
-position, the union over its product successors.  That takes at most
-(Delta+1) * sum_j C(n+j-1, j) * C(n+k-j-1, k-j) transitions, against
-(Delta+1)^k product tuples per position.
+(each cop moves along an edge or stays).  It is never listed.
 
-A solve is sized by arithmetic before anything is built: its states
-and, where it uses the layered relation, that bound on its transitions
-must each be within the budget.
+Layout.  A mask vector is one bytes object of n^k fields, one per
+ordered cop tuple (v_1, ..., v_k); field sum_i v_i * n^(k-i) (cop 1 the
+most significant digit) holds a mask of robber vertices in ceil(n/8)
+bytes, little-endian.  Byte b of every field is lane b.  Each vector
+is symmetric: the tuples of one multiset hold the same mask, so a
+query reads the field of its position in any order.  Two operations
+run on whole vectors at C speed:
+
+* The robber step.  Per-byte translate tables: tables[b][o][x] holds
+  the lane-o vertices r whose moves in lane b lie inside the byte x,
+  built from one 256-entry superset indicator per move-mask byte.
+  The vertices whose every move lies in a field are the AND over b of
+  lane b translated through tables[b][o].  The tables depend only on
+  the robber's moves, so an arena changes only them; they are cached,
+  so the k of one cop-number search build them once.
+* One cop's move.  Split the vector into n blocks of n^(k-1) fields,
+  one per vertex v of cop 1.  Output block v is the OR of input blocks
+  w in N[v], on ints; cop 1 has moved.  n * ceil(n/8) strided slice
+  assignments then rotate the tuples so that cop 2 is the top digit.
+  k such moves make the cop-move union of one round (the cops move one
+  at a time, after Petr, Portier and Versteegen, "A faster algorithm
+  for Cops and Robbers", 2022), and the k rotations restore the order.
+
+The occupancy vector is built the same way, one cop at a time: each
+block ORs the block of k - 1 cops with its vertex bit.
+
+A solve is sized by arithmetic before anything is built: its states,
+and the bytes of the first round it keeps (n^k * ceil(n/8) bytes per
+vector), must each be within the budget.  The rounds a result keeps
+are held to the same budget as they are added.
 
 Winning states are the cop attractor of the capture states, computed in
-rounds over per-position bitmasks of robber vertices.  One loop serves
+rounds over mask vectors of robber vertices.  One loop serves
 every game; each round is a robber step and a cop-move union:
 
 * C_0[p], the capture mask, is the set of arena vertices on which a
@@ -31,22 +50,25 @@ every game; each round is a robber step and a cop-move union:
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
-capture.  Results keep only the per-round masks and read labels,
-levels and both sides' replies from them on demand; a cop reply builds
-the successors of its one position.
+capture.  Results keep only the per-round vectors and read labels,
+levels and both sides' replies from them on demand, one field at a
+time; a cop reply builds the successors of its one position.  Ties
+break as on multiset positions in sorted order: best_position is the
+first full field of the earliest round, and the full fields form a set
+closed under permuting the cops, whose lexicographically first tuple is
+sorted; cop_move tries the successor multisets in sorted order.
 
 The variant picks only C_0 and the cop-move union:
 
 * standard -- capture when a cop occupies the robber's vertex, checked
-  at placement and after each side's move.  The union walks the layered
-  relation.
+  at placement and after each side's move.  The union is k cop moves.
 * teleport -- each cop may jump to any vertex except the robber's
   current one; the robber loses as soon as his own round (or his
   placement) ends in the closed neighbourhood of a cop.  C_0[p] is then
   the arena part of that danger zone.  Every position that avoids the
   robber is one jump away, so the union is the same jump mask at every
   position: the OR of R_L[q] minus the occupied vertices of q over all
-  positions q.
+  positions q, a per-lane OR-fold of the vector R_L & ~occupancy.
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -71,8 +93,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from operator import or_
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from .graphs import (
@@ -156,6 +178,158 @@ class GameConfig:
 _SIDE = {"cops": 0, "robber": 1}
 
 
+def _as_int(vec):
+    return int.from_bytes(vec, "little")
+
+
+class _Board:
+    """The n^k ordered cop tuples of k cops on g, and the operations on
+    their mask vectors (see the module docstring for the layout)."""
+
+    def __init__(self, g, k):
+        n = g.n
+        self.n, self.k = n, k
+        self.nb = nb = (n + 7) // 8
+        self.fields = n**k
+        self.size = self.fields * nb  # bytes of one vector
+        self.block = self.size // n  # bytes per value of the top cop
+        self.closed = [[v] + g.neighbors(v) for v in range(n)]
+
+    def field(self, pos):
+        """The field of cop position pos, or None when pos is not k
+        vertices of g.  Every vector is symmetric, so any order of pos
+        reads the same value."""
+        if len(pos) != self.k or not all(0 <= v < self.n for v in pos):
+            return None
+        f = 0
+        for v in pos:
+            f = f * self.n + v
+        return f
+
+    def read(self, vec, f):
+        return _as_int(vec[f * self.nb:(f + 1) * self.nb])
+
+    def decode(self, f):
+        """The cop tuple of field f."""
+        out = []
+        for _ in range(self.k):
+            f, v = divmod(f, self.n)
+            out.append(v)
+        return tuple(reversed(out))
+
+    def first_full(self, vec, mask):
+        """The cop tuple of the first field holding every bit of mask
+        (mask itself: vectors never hold more), or None."""
+        want = mask.to_bytes(self.nb, "little")
+        i = vec.find(want)
+        while i >= 0 and i % self.nb:
+            i = vec.find(want, i + 1)
+        return None if i < 0 else self.decode(i // self.nb)
+
+    def repeat(self, mask):
+        """The vector holding mask in every field, as an int."""
+        return _as_int(mask.to_bytes(self.nb, "little") * self.fields)
+
+    def spread(self, masks):
+        """The vector whose field (v_1, ..., v_k) is the OR of masks[v_i],
+        built one cop at a time: the blocks of k - 1 cops, each ORed
+        with the new top cop's mask repeated over the block."""
+        nb = self.nb
+        parts = [m.to_bytes(nb, "little") for m in masks]
+        vec = b"".join(parts)
+        for j in range(1, self.k):
+            low = _as_int(vec)
+            size, count = len(vec), self.n**j
+            vec = b"".join(
+                (low | _as_int(p * count)).to_bytes(size, "little")
+                for p in parts
+            )
+        return vec
+
+    def union(self, vec):
+        """The cop-move union: field p of the result is the OR of vec
+        over every cop tuple the team at p reaches in one move.  Each
+        cop moves in turn while it is the top digit: output block v is
+        the OR of input blocks w in N[v], then the tuples rotate so the
+        next cop is on top.  After k rotations the order is restored."""
+        n, nb, size, block = self.n, self.nb, self.size, self.block
+        stride = n * nb
+        for _ in range(self.k):
+            blocks = [_as_int(vec[i:i + block]) for i in range(0, size, block)]
+            out = bytearray(size)
+            for v, closed in enumerate(self.closed):
+                acc = 0
+                for w in closed:
+                    acc |= blocks[w]
+                moved = acc.to_bytes(block, "little")
+                # field (v, rest) goes to field (rest, v)
+                if nb == 1:
+                    out[v::n] = moved
+                else:
+                    for j in range(nb):
+                        out[v * nb + j::stride] = moved[j::nb]
+            vec = out
+        return bytes(vec)
+
+    def robber_step(self, moves):
+        """The robber step for robber moves given as (vertex, move mask)
+        pairs, as a function: per field, the vertices all of whose moves
+        lie in it.  Output lane o is the AND over input lanes b of lane b
+        translated through tables[b][o]."""
+        nb, fields = self.nb, self.fields
+        tables = _step_tables(nb, tuple(moves))
+        if nb == 1:
+            table = tables[0][0]
+            return lambda vec: vec.translate(table)
+
+        def trapped(vec):
+            lanes = [vec[b::nb] for b in range(nb)]
+            out = bytearray(self.size)
+            for o in range(nb):
+                acc = -1
+                for b, lane in enumerate(lanes):
+                    acc &= _as_int(lane.translate(tables[b][o]))
+                out[o::nb] = acc.to_bytes(fields, "little")
+            return bytes(out)
+
+        return trapped
+
+    def fold(self, x):
+        """The OR of every field of the vector x (an int)."""
+        count = self.fields
+        while count > 1:
+            half = count // 2
+            shift = 8 * self.nb * (count - half)
+            x = (x >> shift) | (x & ((1 << shift) - 1))
+            count -= half
+        return x
+
+
+@lru_cache(maxsize=None)
+def _supersets(part):
+    """256 bytes as an int: byte x is 1 when x holds every bit of part."""
+    return _as_int(bytes(x & part == part for x in range(256)))
+
+
+@lru_cache(maxsize=64)
+def _step_tables(nb, moves):
+    """Translate tables of the robber step for robber moves given as
+    (vertex, move mask) pairs: tables[b][o][x] holds the lane-o
+    vertices r whose moves in lane b (byte b of a field) lie inside the
+    byte x.  Each is the sum, over those r, of the superset indicator of
+    r's moves in lane b shifted to r's bit; the bits differ, so nothing
+    carries."""
+    return tuple(
+        tuple(
+            sum(
+                _supersets(mv >> 8 * b & 0xFF) << (r & 7) for r, mv in moves if r >> 3 == o
+            ).to_bytes(256, "little")
+            for o in range(nb)
+        )
+        for b in range(nb)
+    )
+
+
 class SolveResult:
     """Per-round attractor masks for one solved instance.  Immutable
     once returned; safe to share.  It answers every strategy query on
@@ -168,16 +342,16 @@ class SolveResult:
     * cop_move -- the cops' optimal reply;
     * robber_move, robber_placement -- the robber's optimal replies.
 
-    rounds[L] is the pair (C_L, R_L) of per-position masks of the robber
+    rounds[L] is the pair (C_L, R_L) of mask vectors of the robber
     vertices from which the cops win within L rounds, with the cops or
-    the robber to move; the last pair is the fixpoint.
+    the robber to move; the last pair is the fixpoint.  A query reads
+    the one field of its cop position.
     """
 
-    def __init__(self, g, cfg, positions, index, arena_vertices, rob_moves, rounds):
+    def __init__(self, g, cfg, board, arena_vertices, rob_moves, rounds):
         self.g = g
         self.cfg = cfg
-        self.positions = positions
-        self._index = index  # position -> its index in positions
+        self._board = board
         self.arena_vertices = arena_vertices
         self._rob_moves = rob_moves  # arena vertex -> mask of destinations
         self._rounds = rounds
@@ -185,24 +359,29 @@ class SolveResult:
         # the cops place where the whole arena is won soonest
         self.best_position = next(
             (
-                positions[p]
-                for cop, _ in rounds
-                for p, m in enumerate(cop)
-                if m == self._full
+                t
+                for t in (board.first_full(cop, self._full) for cop, _ in rounds)
+                if t is not None
             ),
             None,
         )
         self.cops_win = self.best_position is not None
 
+    @property
+    def positions(self):
+        """Every cop position, as sorted tuples in lexicographic order."""
+        return tuple(combinations_with_replacement(range(self.g.n), self.cfg.k))
+
     def _round(self, pos, turn, mask):
         """The least round whose mask for the side to move holds every
         robber vertex of mask at cop position pos, or None."""
-        p = self._index.get(tuple(sorted(pos)))
-        if p is None:
+        f = self._board.field(pos)
+        if f is None:
             return None
         side = _SIDE[turn]
+        read = self._board.read
         return next(
-            (lv for lv, masks in enumerate(self._rounds) if masks[side][p] & mask == mask),
+            (lv for lv, masks in enumerate(self._rounds) if read(masks[side], f) & mask == mask),
             None,
         )
 
@@ -219,28 +398,30 @@ class SolveResult:
     def cop_move(self, pos, r):
         """The cops' reply in a cops-to-move state they win in L >= 1
         rounds: the successor position whose robber-to-move state has
-        the least level (L - 1), lowest index on ties.  In the standard
-        game the successors of pos are built here, for pos alone."""
+        the least level (L - 1), the first in sorted order on ties.  In
+        the standard game the successors of pos are built here, for pos
+        alone."""
         lv = self.level_of(pos, r, "cops")
         if lv == 0:
             raise KeyError("(%r, %r) is already a capture" % (pos, r))
         rob = self._rounds[lv - 1][1]
+        board = self._board
         if self.cfg.variant == "teleport":
-            succ = (q for q, t in enumerate(self.positions) if r not in t)
+            succ = (t for t in self.positions if r not in t)
         else:
-            succ = _team_moves(self.g, pos, self._index)
-        return next(self.positions[q] for q in succ if rob[q] >> r & 1)
+            succ = _team_moves(self.g, pos)
+        return next(t for t in succ if board.read(rob, board.field(t)) >> r & 1)
 
     def robber_move(self, pos, r):
         """The robber's best reply in the robber-to-move state (pos, r):
         stay in the robber-win region when possible, otherwise maximize
         the capture level."""
-        pos = tuple(sorted(pos))
-        if pos not in self._index or r not in self._rob_moves:
-            raise KeyError("state %r not in solve table" % ((pos, r, "robber"),))
+        state = (tuple(sorted(pos)), r, "robber")
+        if self._board.field(pos) is None or r not in self._rob_moves:
+            raise KeyError("state %r not in solve table" % (state,))
         moves = tuple(bits(self._rob_moves[r]))
         if not moves:
-            raise ValueError("robber has no legal move from %r" % ((pos, r, "robber"),))
+            raise ValueError("robber has no legal move from %r" % (state,))
         if not self.is_cop_win(pos, r, "robber"):
             return next(r2 for r2 in moves if not self.is_cop_win(pos, r2, "cops"))
         return max(moves, key=lambda r2: self.level_of(pos, r2, "cops"))
@@ -263,91 +444,29 @@ class SolveResult:
         return self._round(pos, "cops", self._full)
 
 
-def _layered_transitions(n, k, max_degree):
-    """An upper bound on the transitions of the layered cop-move
-    relation: layer j has C(n+j-1, j) * C(n+k-j-1, k-j) states, each
-    with at most max_degree + 1 moves to layer j + 1."""
-    return (max_degree + 1) * sum(
-        math.comb(n + j - 1, j) * math.comb(n + k - j - 1, k - j) for j in range(k)
-    )
+def _sized_board(g, k, per_position, per_round, budget):
+    """The board of k cops on g, sized by arithmetic against the budget
+    before any vector is built: its states (per_position per multiset
+    position), and the bytes of the first round a solve keeps
+    (per_round mask vectors)."""
+    states = math.comb(g.n + k - 1, k) * per_position
+    if states > budget:
+        raise StateBudgetError(states, budget)
+    board = _Board(g, k)
+    _keep(board.size * per_round, budget)
+    return board
 
 
-def _positions(g, k, per_position, budget, layered=True):
-    """All cop positions (nondecreasing k-tuples), sized by arithmetic
-    against the budget before any is built: the states, and for a game
-    that walks the layered relation, its transitions."""
-    est = math.comb(g.n + k - 1, k) * per_position
-    if est > budget:
-        raise StateBudgetError(est, budget)
-    if layered:
-        work = _layered_transitions(g.n, k, g.max_degree())
-        if work > budget:
-            raise StateBudgetError(work, budget, counted="layered transitions")
-    return list(combinations_with_replacement(range(g.n), k))
+def _keep(kept, budget):
+    """Refuse a solve whose kept rounds would exceed the budget in bytes."""
+    if kept > budget:
+        raise StateBudgetError(kept, budget, counted="bytes")
 
 
-def _occupancy(positions):
-    return [sum(1 << v for v in set(t)) for t in positions]
-
-
-def _team_moves(g, t, index):
-    """The sorted indices of the positions the cop team at t reaches in
-    one move (each cop moves along an edge or stays).  index maps each
-    position to its place in the list of positions."""
-    return sorted(
-        {index[tuple(sorted(c))] for c in product(*[[v] + g.neighbors(v) for v in t])}
-    )
-
-
-def _cop_moves(g, k, index):
-    """The layered cop-move relation of k cops on g (see the module
-    docstring), as a function: given a mask per position (in the order
-    of index, which maps each position to its place), it returns for
-    every position p the OR of the masks of all positions the team at
-    p reaches in one move.
-
-    Layer j is kept as one column per unmoved multiset U, a sequence
-    over the moved multisets M.  The backward pass from layer j + 1 to
-    layer j is then, per U = (u, *rest), an OR over w in N[u] of the
-    column of rest read at M + {w}, one lazy chain of C-level maps."""
-    n = g.n
-    moved = [list(combinations_with_replacement(range(n), j)) for j in range(k)]
-    where = [{m: i for i, m in enumerate(ms)} for ms in moved] + [index]
-    # add[j][w]: where in a layer-(j+1) column M + {w} is, for every M of size j
-    add = [
-        [[where[j + 1][tuple(sorted(m + (w,)))] for m in moved[j]] for w in range(n)]
-        for j in range(k)
-    ]
-    unmoved = moved + [list(index)]
-    # split[i]: (least cop, index of the rest) for every i-multiset U
-    split = [None] + [
-        [(u[0], where[i - 1][u[1:]]) for u in unmoved[i]] for i in range(1, k + 1)
-    ]
-    nbrs = [g.neighbors(v) for v in range(n)]
-
-    def union(masks):
-        cols = [masks]  # layer k: every cop has moved
-        for j in range(k - 1, -1, -1):
-            pick = add[j]
-            layer = []
-            for u, rest in split[k - j]:
-                read = cols[rest].__getitem__
-                out = map(read, pick[u])  # the cop stays
-                for w in nbrs[u]:
-                    out = map(or_, out, map(read, pick[w]))
-                layer.append(list(out))
-            cols = layer
-        return [c[0] for c in cols]  # layer 0: no cop has moved
-
-    return union
-
-
-def _robber_step(moves):
-    """The robber step of (vertex, mask of its moves) pairs, as a
-    function: per mask, the vertices all of whose moves lie in it."""
-    steps = [(1 << r, mv) for r, mv in moves]
-    # the bits are distinct, so their sum is their union
-    return lambda masks: [sum(bit for bit, mv in steps if not mv & ~c) for c in masks]
+def _team_moves(g, t):
+    """The positions (sorted tuples) the cop team at t reaches in one
+    move, each cop along an edge or staying, in sorted order."""
+    return sorted({tuple(sorted(c)) for c in product(*[[v] + g.neighbors(v) for v in t])})
 
 
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
@@ -362,44 +481,41 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         )
     arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
     arena.validate_against(g)
-    teleport = cfg.variant == "teleport"
-    positions = _positions(g, cfg.k, len(arena.vertices) * 2, budget, layered=not teleport)
-    index = {t: i for i, t in enumerate(positions)}
-    occ = _occupancy(positions)
+    board = _sized_board(g, cfg.k, len(arena.vertices) * 2, 2, budget)
     amask = sum(1 << v for v in arena.vertices)
     rob_moves = {
         r: arena.adj[r] | (1 << r if cfg.robber_may_pass else 0)
         for r in arena.vertices
     }
-    trapped = _robber_step(rob_moves.items())
-    caught = [o & amask for o in occ]
+    trapped = board.robber_step(rob_moves.items())
+    arena_rep = board.repeat(amask)
+    occ = _as_int(board.spread([1 << v for v in range(g.n)]))
+    caught = occ & arena_rep
 
-    if teleport:
-        cop = []
-        for t, d in zip(positions, occ):  # standing on a cop is capture
-            for c in set(t):
-                d |= g.closed_mask(c)
-            cop.append(d & amask)
+    if cfg.variant == "teleport":
+        # standing on a cop or next to one is capture
+        cop = _as_int(board.spread([g.closed_mask(v) for v in range(g.n)])) & arena_rep
 
         def moves(rob):  # cops jump to any position avoiding the robber
-            jump = 0
-            for o, m in zip(occ, rob):
-                jump |= m & ~o
-            return [jump] * len(occ)
+            return board.repeat(board.fold(_as_int(rob) & ~occ))
     else:
         cop = caught
-        moves = _cop_moves(g, cfg.k, index)
+
+        def moves(rob):
+            return _as_int(board.union(rob))
 
     rounds = []
     while True:
+        cop_vec = cop.to_bytes(board.size, "little")
         # a robber to move loses where caught or where every move is
-        rob = list(map(or_, caught, trapped(cop)))
-        rounds.append((cop, rob))
-        nxt = list(map(or_, cop, moves(rob)))
+        rob = (caught | _as_int(trapped(cop_vec))).to_bytes(board.size, "little")
+        rounds.append((cop_vec, rob))
+        _keep(2 * board.size * len(rounds), budget)
+        nxt = cop | moves(rob)
         if nxt == cop:
             break
         cop = nxt
-    return SolveResult(g, cfg, tuple(positions), index, arena.vertices, rob_moves, rounds)
+    return SolveResult(g, cfg, board, arena.vertices, rob_moves, rounds)
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
@@ -541,39 +657,39 @@ def teleport_cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False
 
 
 def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
-    """Relation chain rel[0], rel[1], ... as per-position bitmasks over
-    robber vertices, computed until stabilization.  The robber does not
-    pass; cop moves use the reflexive closure of the strong product."""
-    positions = _positions(g, k, g.n, budget)
-    moves = _cop_moves(g, k, {t: i for i, t in enumerate(positions)})
-    trapped = _robber_step(enumerate(g.adj))
-    occ = _occupancy(positions)
+    """The board and the relation chain rel[0], rel[1], ... as mask
+    vectors over robber vertices, computed until stabilization.  The
+    robber does not pass; cop moves use the reflexive closure of the
+    strong product."""
+    board = _sized_board(g, k, g.n, 1, budget)
+    trapped = board.robber_step(enumerate(g.adj))
+    occ = board.spread([1 << v for v in range(g.n)])
 
-    chain = [list(occ)]
-    cum = list(occ)
+    chain = [occ]
+    cum = occ
     while True:
-        new = trapped(moves(cum))
+        new = trapped(board.union(cum))
         if new == chain[-1]:
-            return positions, chain
+            return board, chain
         chain.append(new)
-        cum = [a | b for a, b in zip(cum, new)]
+        _keep(board.size * len(chain), budget)
+        cum = (_as_int(cum) | _as_int(new)).to_bytes(board.size, "little")
 
 
 def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
     """The relation between robber vertices and cop positions at level i
     (the stabilized relation if i exceeds the fixpoint index)."""
-    positions, chain = _preceq_chain(g, k, budget=budget)
+    board, chain = _preceq_chain(g, k, budget=budget)
     rel = chain[min(i, len(chain) - 1)]
     return {
-        (x, positions[p])
-        for p in range(len(positions))
-        for x in bits(rel[p])
+        (x, t)
+        for t in combinations_with_replacement(range(g.n), k)
+        for x in bits(board.read(rel, board.field(t)))
     }
 
 
 def preceq_fixpoint_wins(g, k, budget=DEFAULT_STATE_BUDGET):
     """True iff some position relates to every robber vertex in the
     stabilized relation; equals cops_win with a no-pass robber."""
-    positions, chain = _preceq_chain(g, k, budget=budget)
-    full = (1 << g.n) - 1
-    return any(m == full for m in chain[-1])
+    board, chain = _preceq_chain(g, k, budget=budget)
+    return board.first_full(chain[-1], (1 << g.n) - 1) is not None

@@ -32,6 +32,9 @@ from .graphs import (
 )
 from .solver import Arena, GameConfig, cops_win
 
+# the optimal robber's solve budget, on its states and on the bytes its
+# rounds keep: Petersen with 4 cops fits (120,000 bytes in 3 rounds);
+# Heawood and the polarity graph q = 3 with 5 cops do not
 OPTIMAL_ROBBER_STATE_CAP = 200_000
 
 
@@ -61,8 +64,8 @@ class StrategyTrace:
     """One simulated play-out.  rounds[i] = (round index, cop tuple after
     the cops' move, robber vertex after his reply); round 0 records the
     initial placement.  robber_policy names the policy that actually
-    played: "optimal" falls back to "greedy" when the solve table would
-    exceed OPTIMAL_ROBBER_STATE_CAP."""
+    played: "optimal" falls back to "greedy" when the solve would exceed
+    OPTIMAL_ROBBER_STATE_CAP."""
 
     rounds: tuple
     outcome: str  # "captured" | "survived"

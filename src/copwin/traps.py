@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import bits
+
 TRANSVERSAL_MAX_N = 64
 TRANSVERSAL_MAX_EDGES = 64
 
@@ -56,6 +58,19 @@ def _matching_lower_bound(edge_masks):
     return count
 
 
+def _counting_bound_prunes(edge_masks, need):
+    """True when ceil(m / D) >= need, where m edges remain and D is the
+    most of them any one vertex hits: each chosen vertex hits at most D."""
+    m = len(edge_masks)
+    if m < need:
+        return False  # ceil(m / D) <= m
+    union = 0
+    for e in edge_masks:
+        union |= e
+    most = max(sum(e >> v & 1 for e in edge_masks) for v in bits(union))
+    return -(-m // most) >= need
+
+
 def min_transversal(h):
     """Exact minimum hitting set: (size, witness frozenset)."""
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
@@ -72,7 +87,10 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     0..n-1: (size, witness list).
 
     Branch and bound on the max-degree vertex of a smallest uncovered
-    edge; lower bound from a greedy disjoint-edge matching.  The bound
+    edge.  A node is pruned by the larger of two lower bounds: a greedy
+    disjoint-edge matching, and, where that does not prune, the count
+    ceil(m / D) of m remaining edges over the most, D, that one vertex
+    hits (on closed neighbourhoods, gamma >= n / (Delta + 1)).  The bound
     starts at m + 1, since one vertex per edge always hits every edge,
     so the first descent is never pruned and finds the first cover.
 
@@ -127,7 +145,8 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
                 if best_size <= floor:
                     raise _Stop
             return
-        if len(chosen) + lower_bound(remaining) >= best_size:
+        need = best_size - len(chosen)
+        if lower_bound(remaining) >= need or _counting_bound_prunes(remaining, need):
             return
         # branch over the vertices of a smallest remaining edge, trying
         # high-degree vertices first

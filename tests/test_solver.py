@@ -14,9 +14,8 @@ from copwin.graphs import Graph, is_dismantlable
 from copwin.solver import (
     Arena,
     GameConfig,
+    _Board,
     _bounds,
-    _cop_moves,
-    _layered_transitions,
     _team_moves,
     c_G_of_m,
     cop_number,
@@ -266,28 +265,99 @@ def _product_rounds(g, k):
         cop = nxt
 
 
+def _oracle_rounds(g, cfg):
+    """The (C_L, R_L) round masks of any game, from a product table:
+    every product successor in the standard game, every position that
+    avoids the robber under teleport."""
+    arena = cfg.robber_arena or Arena.full(g)
+    positions = list(combinations_with_replacement(range(g.n), cfg.k))
+    index = {t: i for i, t in enumerate(positions)}
+    amask = sum(1 << v for v in arena.vertices)
+    moves = {r: arena.adj[r] | (1 << r if cfg.robber_may_pass else 0) for r in arena.vertices}
+    occ = [_or_all(1 << v for v in t) for t in positions]
+    caught = [o & amask for o in occ]
+    if cfg.variant == "teleport":
+        cop = [_or_all(g.closed_mask(v) for v in t) & amask for t in positions]
+    else:
+        cop = caught
+        succ = [
+            {index[tuple(sorted(c))] for c in product(*[[v] + g.neighbors(v) for v in t])}
+            for t in positions
+        ]
+    rounds = []
+    while True:
+        rob = [
+            m | sum(1 << r for r, mv in moves.items() if mv & ~c == 0)
+            for m, c in zip(caught, cop)
+        ]
+        rounds.append((cop, rob))
+        if cfg.variant == "teleport":
+            jump = _or_all(m & ~o for m, o in zip(rob, occ))
+            nxt = [c | jump for c in cop]
+        else:
+            nxt = [c | _or_all(rob[q] for q in qs) for c, qs in zip(cop, succ)]
+        if nxt == cop:
+            return rounds
+        cop = nxt
+
+
+def _decoded_rounds(res):
+    """The byte rounds of a SolveResult, read at each position in
+    sorted-multiset order."""
+    board = res._board
+    fields = [board.field(t) for t in res.positions]
+    return [
+        tuple([board.read(vec, f) for f in fields] for vec in pair) for pair in res._rounds
+    ]
+
+
 class TestLayeredMoves:
     def test_union_matches_product_successors(self):
-        # every connected class n <= 6, k <= 3: the layered relation's
-        # union of a random mask vector is the OR over the product
-        # successors of each position
+        # every connected class n <= 6, k <= 3: the cop-move union of a
+        # random vector of multiset masks is, at every position, the OR
+        # over the product successors of that position
         rng = random.Random(8)
         for n in range(1, 7):
             for g in connected_graph_classes(n):
                 for k in (1, 2, 3):
+                    board = _Board(g, k)
                     positions = list(combinations_with_replacement(range(n), k))
-                    index = {t: i for i, t in enumerate(positions)}
-                    masks = [rng.getrandbits(n) for _ in positions]
-                    want = [
-                        _or_all(masks[q] for q in _team_moves(g, t, index))
-                        for t in positions
-                    ]
-                    assert _cop_moves(g, k, index)(masks) == want, (g, k)
+                    masks = {t: rng.getrandbits(n) for t in positions}
+                    vec = b"".join(
+                        masks[tuple(sorted(t))].to_bytes(board.nb, "little")
+                        for t in product(range(n), repeat=k)
+                    )
+                    got = board.union(vec)
+                    for t in positions:
+                        want = _or_all(masks[q] for q in _team_moves(g, t))
+                        assert board.read(got, board.field(t)) == want, (g, k, t)
 
     def test_petersen_rounds_match_product_table(self, petersen_graph):
         res = cops_win(petersen_graph, GameConfig(k=3))
-        assert res._rounds == _product_rounds(petersen_graph, 3)
+        assert [tuple(pair) for pair in _product_rounds(petersen_graph, 3)] == _decoded_rounds(res)
         assert res.cops_win
+
+    def test_teleport_and_arena_rounds_match_product_table(self, petersen_graph):
+        # byte rounds with two lanes (Petersen, n = 10) and with one:
+        # teleport solves, and seeded restricted arenas with and without
+        # a passing robber, against the product-table oracle
+        cases = [(petersen_graph, GameConfig(k=k, variant="teleport")) for k in (1, 2, 3)]
+        rng = random.Random(11)
+        for g in (petersen_graph,) + connected_graph_classes(6)[::7]:
+            for k in (1, 2):
+                verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+                edges = [
+                    (u, v) for u, v in combinations(verts, 2)
+                    if g.has_edge(u, v) and rng.random() < 0.8
+                ]
+                arena = Arena.from_edges(g, verts, edges)
+                cases.append((g, GameConfig(k=k, robber_arena=arena,
+                                            robber_may_pass=rng.random() < 0.5)))
+                cases.append((g, GameConfig(k=k, variant="teleport", robber_arena=arena)))
+        for g, cfg in cases:
+            res = cops_win(g, cfg)
+            want = [tuple(pair) for pair in _oracle_rounds(g, cfg)]
+            assert _decoded_rounds(res) == want, (g, cfg)
 
 
 class TestRestricted:
@@ -404,17 +474,22 @@ def test_state_spaces_sized_before_allocation(petersen_graph):
 
 
 def test_work_bound_by_arithmetic(hoffman_singleton_graph):
-    # Hoffman-Singleton with k = 4: 4,128,450 layered states with at
-    # most 8 moves each, and 292,825 positions of 100 states each
+    # Hoffman-Singleton with k = 4: 50^4 ordered cop tuples of 7 bytes
+    # each make one 43,750,000-byte mask vector, and a round keeps two;
+    # the 292,825 positions have 100 states each
     g = hoffman_singleton_graph
-    assert _layered_transitions(g.n, 4, g.max_degree()) == 33_027_600 == 4_128_450 * 8
+    board = _Board(g, 4)
+    assert board.size == 43_750_000 == 50**4 * 7
     assert math.comb(g.n + 3, 4) * 2 * g.n == 29_282_500
+    with pytest.raises(StateBudgetError) as e:
+        cops_win(g, GameConfig(k=4), budget=50_000_000)
+    assert (e.value.counted, e.value.estimated) == ("bytes", 87_500_000)
 
 
 def test_work_budget_refuses_before_allocation():
-    # incidence(3) with k = 4: 1,235,052 states fit the budget, but
-    # 1,586,520 layered transitions do not; building the relation it
-    # counts would take tens of megabytes
+    # incidence(3) with k = 4: 1,235,052 states fit the budget, but one
+    # round of two 1,827,904-byte vectors does not, nor does the first
+    # vector of the preceq chain; building them would take megabytes
     g = incidence(3)
     assert math.comb(g.n + 3, 4) * 2 * g.n == 1_235_052
     tracemalloc.start()
@@ -427,6 +502,6 @@ def test_work_budget_refuses_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    for e in (solve.value, chain.value):
-        assert (e.counted, e.estimated) == ("layered transitions", 1_586_520)
-        assert "1586520 layered transitions exceeds budget" in str(e)
+    assert (solve.value.counted, solve.value.estimated) == ("bytes", 3_655_808)
+    assert (chain.value.counted, chain.value.estimated) == ("bytes", 1_827_904)
+    assert "3655808 bytes exceeds budget" in str(solve.value)
