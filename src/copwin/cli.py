@@ -52,11 +52,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-SOLVER_SCAN_MAX_N = 9
-TRAP_SCAN_MAX_N = 9
+SCAN_MAX_N = 9
 
-SOLVER_CHECKS = ("theorem1", "conj_sqrt_n", "conj_teleport", "preceq_equiv")
-ALL_CHECKS = SOLVER_CHECKS + ("lemma4", "lemma5")
+ALL_CHECKS = ("theorem1", "conj_sqrt_n", "conj_teleport", "preceq_equiv", "lemma4", "lemma5")
 
 
 def _kv(record):
@@ -78,20 +76,20 @@ def _fmt_diameter(d):
     return "inf" if d == math.inf else d
 
 
-def _graphs(args, out, max_n, found):
+def _graphs(args, out, found):
     """The graphs a stream command reads: the --input file, or the
-    connected classes up to --nmax (default 6, in 1..max_n).  The flags
-    are checked here, before the command writes anything; --nmax and
-    --input cannot be used together.
+    connected classes up to --nmax (default 6, in 1..SCAN_MAX_N).  The
+    flags are checked here, before the command writes anything; --nmax
+    and --input cannot be used together.
 
     A line that fails to parse is emitted as a parse_error record in
     stream order, adds EXIT_USAGE to found, and the stream goes on."""
     if args.nmax is not None:
         if args.input:
             raise ValueError("--nmax cannot be used with --input")
-        if not 1 <= args.nmax <= max_n:
+        if not 1 <= args.nmax <= SCAN_MAX_N:
             raise ValueError("--nmax %d out of range for this command (1..%d)"
-                             % (args.nmax, max_n))
+                             % (args.nmax, SCAN_MAX_N))
     if args.input:
         return _read_input(args, out, found)
     nmax = 6 if args.nmax is None else args.nmax
@@ -121,7 +119,7 @@ def _exit_code(found):
 
 def cmd_solve(args, out):
     found = set()
-    for g in _graphs(args, out, SOLVER_SCAN_MAX_N, found):
+    for g in _graphs(args, out, found):
         rec = {"graph": emit_graph6(g), "n": g.n}
         t0 = time.perf_counter()
         try:
@@ -207,9 +205,8 @@ def _scan_one(check, g, budget):
 
 def cmd_scan(args, out):
     check = args.check
-    max_n = TRAP_SCAN_MAX_N if check in ("lemma4", "lemma5") else SOLVER_SCAN_MAX_N
     found = set()
-    graphs = _graphs(args, out, max_n, found)
+    graphs = _graphs(args, out, found)
     header = {"check": check, "seed": args.seed}
     if args.nmax is not None:
         header["nmax"] = args.nmax
@@ -256,7 +253,7 @@ def cmd_trap(args, out):
     if args.alpha is not None and not 0 <= args.alpha < math.inf:
         raise ValueError("--alpha must be finite and nonnegative, got %r" % args.alpha)
     found = set()
-    for g in _graphs(args, out, TRAP_SCAN_MAX_N, found):
+    for g in _graphs(args, out, found):
         alpha = args.alpha if args.alpha is not None else float(math.isqrt(g.n))
         thresholds, count = trap_report(g, alpha)
         rec = {
@@ -280,7 +277,7 @@ def cmd_ineq(args, out):
 
 def cmd_simulate(args, out):
     found = set()
-    for g in _graphs(args, out, SOLVER_SCAN_MAX_N, found):
+    for g in _graphs(args, out, found):
         if not theorem1_applies(g):
             continue  # the plan exists only under theorem 1's hypothesis
         plan = build_theorem1_plan(g)

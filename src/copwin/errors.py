@@ -27,10 +27,12 @@ class StateBudgetError(CopwinError, RuntimeError):
     """Solve aborted because its size exceeds the configured budget.
 
     ``counted`` names what exceeded it: "states", or the "bytes" of the
-    rounds the solve keeps, at n^k * ceil(n/8) bytes per mask vector
-    (two vectors per round of a game, one per level of the preceq
-    chain).  ``estimated`` is that count: for the first round it is
-    known by arithmetic before anything is built.
+    rounds the solve keeps, at n^k * ceil(n/8) bytes per mask vector.
+    A game's first round counts two vectors (C_0 and the R_0 built from
+    it), and each further round it keeps one more; the preceq chain
+    counts one vector and keeps no levels.  ``estimated`` is that count:
+    for the first round it is known by arithmetic before anything is
+    built.
 
     ``lower_bound`` is set by the cop-number search: a certified lower
     bound on the cop number, the larger of the search's LB and the k

@@ -50,13 +50,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v):
-        m = self.adj[v]
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return list(bits(self.adj[v]))
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -64,21 +58,11 @@ class Graph:
     def degrees(self):
         return [m.bit_count() for m in self.adj]
 
-    def max_degree(self):
-        return max(self.degrees())
-
     def closed_mask(self, v):
         return self.adj[v] | (1 << v)
 
     def edges(self):
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                low = m & -m
-                out.append((u, low.bit_length() - 1))
-                m ^= low
-        return out
+        return [(u, v) for u, m in enumerate(self.adj) for v in bits(m >> (u + 1) << (u + 1))]
 
     def edge_count(self):
         return sum(m.bit_count() for m in self.adj) // 2

@@ -32,9 +32,10 @@ The occupancy vector is built the same way, one cop at a time: each
 block ORs the block of k - 1 cops with its vertex bit.
 
 A solve is sized by arithmetic before anything is built: its states,
-and the bytes of the first round it keeps (n^k * ceil(n/8) bytes per
-vector), must each be within the budget.  The rounds a result keeps
-are held to the same budget as they are added.
+and the bytes of its first round (n^k * ceil(n/8) bytes per vector, two
+vectors: C_0 and the R_0 built from it), must each be within the
+budget.  The rounds a result keeps are held to the same budget as they
+are added, one vector each plus the R vector in flight.
 
 Winning states are the cop attractor of the capture states, computed in
 rounds over mask vectors of robber vertices.  One loop serves
@@ -50,13 +51,17 @@ every game; each round is a robber step and a cop-move union:
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
-capture.  Results keep only the per-round vectors and read labels,
-levels and both sides' replies from them on demand, one field at a
-time; a cop reply builds the successors of its one position.  Ties
-break as on multiset positions in sorted order: best_position is the
-first full field of the earliest round, and the full fields form a set
-closed under permuting the cops, whose lexicographically first tuple is
-sorted; cop_move tries the successor multisets in sorted order.
+capture.  R_L is a function of C_L, so results keep only the C vectors;
+R_L is built in the loop, fed to the union and dropped.  Labels, levels
+and both sides' replies are read from the C vectors on demand, one
+field at a time: the robber to move at r is beaten in round L when a
+cop stands on r or his move mask lies in C_L[p], so his level is a
+cops-side query of that mask.  A cop reply builds the successors of
+its one position.  Ties break as on multiset positions in sorted order:
+best_position is the first full field of the earliest round, and the
+full fields form a set closed under permuting the cops, whose
+lexicographically first tuple is sorted; cop_move tries the successor
+multisets in sorted order.
 
 The variant picks only C_0 and the cop-move union:
 
@@ -175,9 +180,6 @@ class GameConfig:
             raise ValueError("unknown variant %r" % self.variant)
 
 
-_SIDE = {"cops": 0, "robber": 1}
-
-
 def _as_int(vec):
     return int.from_bytes(vec, "little")
 
@@ -193,7 +195,7 @@ class _Board:
         self.fields = n**k
         self.size = self.fields * nb  # bytes of one vector
         self.block = self.size // n  # bytes per value of the top cop
-        self.closed = [[v] + g.neighbors(v) for v in range(n)]
+        self.closed = [list(bits(g.closed_mask(v))) for v in range(n)]
 
     def field(self, pos):
         """The field of cop position pos, or None when pos is not k
@@ -342,10 +344,10 @@ class SolveResult:
     * cop_move -- the cops' optimal reply;
     * robber_move, robber_placement -- the robber's optimal replies.
 
-    rounds[L] is the pair (C_L, R_L) of mask vectors of the robber
-    vertices from which the cops win within L rounds, with the cops or
-    the robber to move; the last pair is the fixpoint.  A query reads
-    the one field of its cop position.
+    rounds[L] is C_L, the mask vector of the robber vertices from which
+    the cops to move win within L rounds; the last is the fixpoint.  A
+    query reads the one field of its cop position.  The robber side is
+    read as a C query of the robber's move mask (see _level).
     """
 
     def __init__(self, g, cfg, board, arena_vertices, rob_moves, rounds):
@@ -360,7 +362,7 @@ class SolveResult:
         self.best_position = next(
             (
                 t
-                for t in (board.first_full(cop, self._full) for cop, _ in rounds)
+                for t in (board.first_full(cop, self._full) for cop in rounds)
                 if t is not None
             ),
             None,
@@ -372,25 +374,35 @@ class SolveResult:
         """Every cop position, as sorted tuples in lexicographic order."""
         return tuple(combinations_with_replacement(range(self.g.n), self.cfg.k))
 
-    def _round(self, pos, turn, mask):
-        """The least round whose mask for the side to move holds every
-        robber vertex of mask at cop position pos, or None."""
+    def _round(self, pos, mask):
+        """The least round L whose C_L holds every robber vertex of mask
+        at cop position pos, or None."""
         f = self._board.field(pos)
         if f is None:
             return None
-        side = _SIDE[turn]
         read = self._board.read
         return next(
-            (lv for lv, masks in enumerate(self._rounds) if read(masks[side], f) & mask == mask),
-            None,
+            (lv for lv, cop in enumerate(self._rounds) if read(cop, f) & mask == mask), None
         )
 
+    def _level(self, pos, r, turn):
+        """The level of a state, or None when the robber wins it.  The
+        robber to move at arena vertex r is beaten in round L when a cop
+        stands on r, or when all his moves lie in C_L[pos]."""
+        if turn == "cops":
+            return self._round(pos, 1 << r)
+        if turn != "robber":
+            raise KeyError(turn)
+        if r not in self._rob_moves or self._board.field(pos) is None:
+            return None
+        return 0 if r in pos else self._round(pos, self._rob_moves[r])
+
     def is_cop_win(self, pos, r, turn):
-        return self._round(pos, turn, 1 << r) is not None
+        return self._level(pos, r, turn) is not None
 
     def level_of(self, pos, r, turn):
         """Optimal cop rounds to capture from a cop-winning state."""
-        lv = self._round(pos, turn, 1 << r)
+        lv = self._level(pos, r, turn)
         if lv is None:
             raise KeyError("(%r, %r, %r) is not a cop-win state" % (pos, r, turn))
         return lv
@@ -398,19 +410,17 @@ class SolveResult:
     def cop_move(self, pos, r):
         """The cops' reply in a cops-to-move state they win in L >= 1
         rounds: the successor position whose robber-to-move state has
-        the least level (L - 1), the first in sorted order on ties.  In
-        the standard game the successors of pos are built here, for pos
-        alone."""
+        the least level (L - 1, never less, by optimality), the first in
+        sorted order on ties.  In the standard game the successors of pos
+        are built here, for pos alone."""
         lv = self.level_of(pos, r, "cops")
         if lv == 0:
             raise KeyError("(%r, %r) is already a capture" % (pos, r))
-        rob = self._rounds[lv - 1][1]
-        board = self._board
         if self.cfg.variant == "teleport":
             succ = (t for t in self.positions if r not in t)
         else:
             succ = _team_moves(self.g, pos)
-        return next(t for t in succ if board.read(rob, board.field(t)) >> r & 1)
+        return next(t for t in succ if self._level(t, r, "robber") == lv - 1)
 
     def robber_move(self, pos, r):
         """The robber's best reply in the robber-to-move state (pos, r):
@@ -431,7 +441,7 @@ class SolveResult:
         the first robber-win vertex, else the first of maximum level."""
         best = None
         for r in self.arena_vertices:
-            lv = self._round(pos, "cops", 1 << r)
+            lv = self._round(pos, 1 << r)
             if lv is None:
                 return r
             if best is None or lv > best[0]:
@@ -441,14 +451,14 @@ class SolveResult:
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
         placement is robber-win."""
-        return self._round(pos, "cops", self._full)
+        return self._round(pos, self._full)
 
 
 def _sized_board(g, k, per_position, per_round, budget):
     """The board of k cops on g, sized by arithmetic against the budget
     before any vector is built: its states (per_position per multiset
-    position), and the bytes of the first round a solve keeps
-    (per_round mask vectors)."""
+    position), and the bytes of its first round (per_round mask
+    vectors)."""
     states = math.comb(g.n + k - 1, k) * per_position
     if states > budget:
         raise StateBudgetError(states, budget)
@@ -466,7 +476,7 @@ def _keep(kept, budget):
 def _team_moves(g, t):
     """The positions (sorted tuples) the cop team at t reaches in one
     move, each cop along an edge or staying, in sorted order."""
-    return sorted({tuple(sorted(c)) for c in product(*[[v] + g.neighbors(v) for v in t])})
+    return sorted({tuple(sorted(c)) for c in product(*[bits(g.closed_mask(v)) for v in t])})
 
 
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
@@ -506,11 +516,10 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
 
     rounds = []
     while True:
-        cop_vec = cop.to_bytes(board.size, "little")
+        rounds.append(cop.to_bytes(board.size, "little"))
+        _keep(board.size * (len(rounds) + 1), budget)  # and R_L in flight
         # a robber to move loses where caught or where every move is
-        rob = (caught | _as_int(trapped(cop_vec))).to_bytes(board.size, "little")
-        rounds.append((cop_vec, rob))
-        _keep(2 * board.size * len(rounds), budget)
+        rob = (caught | _as_int(trapped(rounds[-1]))).to_bytes(board.size, "little")
         nxt = cop | moves(rob)
         if nxt == cop:
             break
@@ -656,31 +665,29 @@ def teleport_cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False
     return _least_winning_k(g, GameConfig(variant="teleport"), budget)
 
 
-def _preceq_chain(g, k, budget=DEFAULT_STATE_BUDGET):
-    """The board and the relation chain rel[0], rel[1], ... as mask
-    vectors over robber vertices, computed until stabilization.  The
-    robber does not pass; cop moves use the reflexive closure of the
-    strong product."""
+def _preceq_level(g, k, i, budget):
+    """The board and rel[min(i, fixpoint)] of the relation chain rel[0],
+    rel[1], ..., a mask vector over robber vertices; the chain stops at
+    the first level equal to the one before.  The robber does not pass;
+    cop moves use the reflexive closure of the strong product.  Only the
+    current level and the union cum of those before it are held."""
     board = _sized_board(g, k, g.n, 1, budget)
     trapped = board.robber_step(enumerate(g.adj))
-    occ = board.spread([1 << v for v in range(g.n)])
-
-    chain = [occ]
-    cum = occ
-    while True:
+    rel = cum = board.spread([1 << v for v in range(g.n)])
+    level = 0
+    while level < i:
         new = trapped(board.union(cum))
-        if new == chain[-1]:
-            return board, chain
-        chain.append(new)
-        _keep(board.size * len(chain), budget)
+        if new == rel:
+            break
+        rel, level = new, level + 1
         cum = (_as_int(cum) | _as_int(new)).to_bytes(board.size, "little")
+    return board, rel
 
 
 def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
     """The relation between robber vertices and cop positions at level i
     (the stabilized relation if i exceeds the fixpoint index)."""
-    board, chain = _preceq_chain(g, k, budget=budget)
-    rel = chain[min(i, len(chain) - 1)]
+    board, rel = _preceq_level(g, k, i, budget)
     return {
         (x, t)
         for t in combinations_with_replacement(range(g.n), k)
@@ -691,5 +698,5 @@ def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
 def preceq_fixpoint_wins(g, k, budget=DEFAULT_STATE_BUDGET):
     """True iff some position relates to every robber vertex in the
     stabilized relation; equals cops_win with a no-pass robber."""
-    board, chain = _preceq_chain(g, k, budget=budget)
-    return board.first_full(chain[-1], (1 << g.n) - 1) is not None
+    board, rel = _preceq_level(g, k, math.inf, budget)
+    return board.first_full(rel, (1 << g.n) - 1) is not None

@@ -33,8 +33,10 @@ from .graphs import (
 from .solver import Arena, GameConfig, cops_win
 
 # the optimal robber's solve budget, on its states and on the bytes its
-# rounds keep: Petersen with 4 cops fits (120,000 bytes in 3 rounds);
-# Heawood and the polarity graph q = 3 with 5 cops do not
+# rounds keep: Petersen with 4 cops fits (80,000 bytes: 3 rounds of
+# 20,000 and the R vector in flight); Heawood (239,904 states) and the
+# polarity graph q = 3 (1,485,172 bytes in its first round) with 5 cops
+# do not
 OPTIMAL_ROBBER_STATE_CAP = 200_000
 
 
@@ -119,8 +121,7 @@ def build_theorem1_plan(g):
 def _step_toward(g, dist_to_target, frm):
     """One move (or stay) minimizing BFS distance to the target, lowest
     label on ties."""
-    options = [frm] + g.neighbors(frm)
-    return min(options, key=lambda w: (dist_to_target[w], w))
+    return min(bits(g.closed_mask(frm)), key=lambda w: (dist_to_target[w], w))
 
 
 def lemma2_move(g, arena, cop_list, robber):
@@ -172,7 +173,7 @@ class _GreedyRobber:
         return self._best(range(self.g.n), cops)
 
     def robber_move(self, cops, robber):
-        return self._best([robber] + self.g.neighbors(robber), cops)
+        return self._best(bits(self.g.closed_mask(robber)), cops)
 
 
 def _robber_policy(g, plan, name):

@@ -302,12 +302,23 @@ def _oracle_rounds(g, cfg):
 
 
 def _decoded_rounds(res):
-    """The byte rounds of a SolveResult, read at each position in
-    sorted-multiset order."""
+    """The (C_L, R_L) rounds of a SolveResult at each position in
+    sorted-multiset order: C_L decoded from the kept vectors, R_L read
+    back through level_of on the robber side at every arena vertex."""
     board = res._board
-    fields = [board.field(t) for t in res.positions]
+    levels = {
+        (t, r): res.level_of(t, r, "robber")
+        for t in res.positions
+        for r in res.arena_vertices
+        if res.is_cop_win(t, r, "robber")
+    }
     return [
-        tuple([board.read(vec, f) for f in fields] for vec in pair) for pair in res._rounds
+        (
+            [board.read(vec, board.field(t)) for t in res.positions],
+            [_or_all(1 << r for r in res.arena_vertices if levels.get((t, r), math.inf) <= lv)
+             for t in res.positions],
+        )
+        for lv, vec in enumerate(res._rounds)
     ]
 
 
@@ -475,7 +486,8 @@ def test_state_spaces_sized_before_allocation(petersen_graph):
 
 def test_work_bound_by_arithmetic(hoffman_singleton_graph):
     # Hoffman-Singleton with k = 4: 50^4 ordered cop tuples of 7 bytes
-    # each make one 43,750,000-byte mask vector, and a round keeps two;
+    # each make one 43,750,000-byte mask vector, and the first round
+    # counts two (C_0 and the R_0 built from it);
     # the 292,825 positions have 100 states each
     g = hoffman_singleton_graph
     board = _Board(g, 4)
@@ -505,3 +517,17 @@ def test_work_budget_refuses_before_allocation():
     assert (solve.value.counted, solve.value.estimated) == ("bytes", 3_655_808)
     assert (chain.value.counted, chain.value.estimated) == ("bytes", 1_827_904)
     assert "3655808 bytes exceeds budget" in str(solve.value)
+
+
+def test_rounds_keep_one_vector_each(petersen_graph):
+    # Petersen with k = 3: a 2,000-byte vector per kept C round, three
+    # rounds, plus the R vector in flight.  The preceq chain keeps no
+    # levels, so its states (220 positions, 10 robber vertices) bind
+    assert cops_win(petersen_graph, GameConfig(k=3), budget=8_000).cops_win
+    with pytest.raises(StateBudgetError) as solve:
+        cops_win(petersen_graph, GameConfig(k=3), budget=7_999)
+    assert (solve.value.counted, solve.value.estimated) == ("bytes", 8_000)
+    assert preceq_fixpoint_wins(petersen_graph, 3, budget=2_200)
+    with pytest.raises(StateBudgetError) as chain:
+        preceq_fixpoint_wins(petersen_graph, 3, budget=2_199)
+    assert (chain.value.counted, chain.value.estimated) == ("states", 2_200)
