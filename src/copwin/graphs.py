@@ -95,8 +95,11 @@ def layers(g, src):
     while frontier:
         yield frontier
         new = 0
-        for v in bits(frontier):
-            new |= adj[v]
+        m = frontier
+        while m:
+            low = m & -m
+            new |= adj[low.bit_length() - 1]
+            m ^= low
         frontier = new & ~seen
         seen |= frontier
 
@@ -123,23 +126,32 @@ def diameter(g):
     full = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        walk = list(layers(g, v))
-        if sum(walk) != full:
+        reached = 0
+        depth = -1
+        for layer in layers(g, v):
+            reached |= layer
+            depth += 1
+        if reached != full:
             return math.inf
-        best = max(best, len(walk) - 1)
+        best = max(best, depth)
     return best
 
 
 def is_bipartite(g):
     """No edge joins two vertices of one BFS layer, in every component."""
+    adj = g.adj
     seen = 0
     for s in range(g.n):
         if seen >> s & 1:
             continue
         for layer in layers(g, s):
             seen |= layer
-            if any(g.adj[v] & layer for v in bits(layer)):
-                return False
+            m = layer
+            while m:
+                low = m & -m
+                if adj[low.bit_length() - 1] & layer:
+                    return False
+                m ^= low
     return True
 
 

@@ -510,10 +510,12 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
             return board.repeat(board.fold(_as_int(rob) & ~occ))
     else:
         cop = caught
+        del occ  # only the teleport jump reads it after set-up
 
         def moves(rob):
             return _as_int(board.union(rob))
 
+    del arena_rep  # the round loop holds only vectors it reads
     rounds = []
     while True:
         rounds.append(cop.to_bytes(board.size, "little"))

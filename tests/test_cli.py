@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -246,7 +247,18 @@ class TestGen:
         assert err.startswith("error: ") and "exceeds supported maximum 13" in err
 
 
+# sha256 of `copwin trap --nmax 8` stdout: 12,113 records, one per
+# connected class on at most 8 vertices
+TRAP_NMAX8_SHA256 = "6e42ab83dc2c47d096ec216532bcc7d823f1268eb1c637f3cec7d90de6b7f869"
+
+
 class TestTrap:
+    def test_report_n8_pinned(self):
+        code, text = run(["trap", "--nmax", "8"])
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 12113
+        assert hashlib.sha256(text.encode()).hexdigest() == TRAP_NMAX8_SHA256
+
     def test_petersen_thresholds(self, petersen_file):
         code, text = run(["trap", "--input", petersen_file])
         assert code == EXIT_OK
