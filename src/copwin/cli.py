@@ -276,6 +276,8 @@ def cmd_ineq(args, out):
 
 
 def cmd_simulate(args, out):
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise ValueError("--max-rounds must be at least 0, got %d" % args.max_rounds)
     found = set()
     for g in _graphs(args, out, found):
         if not theorem1_applies(g):

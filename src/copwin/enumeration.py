@@ -3,8 +3,8 @@
 Two enumeration styles:
 
 * ``enumerate_connected(n)`` -- every *labeled* simple connected graph on
-  n vertices, exactly once.  2^(n(n-1)/2) candidates are generated and
-  filtered, so this is for n <= 8 only (and practical up to ~7).
+  n vertices, exactly once: it walks all 2^(n(n-1)/2) graph6 triangle
+  integers in order, so this is for n <= 8 only (practical up to ~7).
 
 * ``connected_graph_classes(n)`` -- one canonically-labelled
   representative per isomorphism class, built by vertex augmentation
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .graph6 import _masks
 from .graphs import Graph, bits, is_connected
 
 ENUMERATION_MAX_N = 8
@@ -43,18 +44,8 @@ def enumerate_connected(n):
             "enumerate_connected supports 1 <= n <= %d, got %d"
             % (ENUMERATION_MAX_N, n)
         )
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    nbits = len(pairs)
-    for mask in range(1 << nbits):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        g = Graph.from_masks(adj)
+    for t in range(1 << n * (n - 1) // 2):
+        g = Graph.from_masks(_masks(n, t))
         if is_connected(g):
             yield g
 

@@ -1,9 +1,12 @@
 """graph6 text format: one simple undirected graph per ASCII line.
 
-Only plain graph6 is supported (no sparse6/digraph6).  The optional
-">>graph6<<" prefix is tolerated on read and never written.  Encoded
-bytes are chr(63)..chr(126); the adjacency bits are the upper triangle
-in column order, padded with zeros to a multiple of six.
+Only plain graph6 is supported; a ">>graph6<<" prefix is tolerated on
+read and never written.  Encoded bytes are chr(63)..chr(126), six bits
+each, first bit highest.  The body holds the triangle integer, in which
+pair u < v is bit v(v-1)/2 + u, as 6-bit groups from the lowest, padded
+with zero bits.  ``_BITS`` spells each character's group in binary with
+the first bit lowest (a missing key is an out-of-range character), and
+``_CHARS`` maps a group back to its character.
 """
 
 from __future__ import annotations
@@ -15,6 +18,30 @@ PREFIX = ">>graph6<<"
 DEFAULT_MAX_N = 64
 _FORMAT_MAX_N = 258047  # largest n expressible in the 4-byte header
 
+_BITS = {chr(63 + c): format(c, "06b")[::-1] for c in range(64)}
+_CHARS = sorted(_BITS, key=_BITS.__getitem__)  # bit strings sort as their values
+
+
+def _masks(n, t):
+    """Adjacency masks of the n-vertex graph with triangle integer t."""
+    adj = [0] * n
+    for v in range(1, n):
+        adj[v] = rows = t & ((1 << v) - 1)
+        t >>= v
+        while rows:
+            low = rows & -rows
+            adj[low.bit_length() - 1] |= 1 << v
+            rows ^= low
+    return adj
+
+
+def _triangle(adj):
+    """The triangle integer of adjacency masks adj."""
+    t = 0
+    for v in range(len(adj) - 1, 0, -1):
+        t = t << v | adj[v] & ((1 << v) - 1)
+    return t
+
 
 def parse_graph6(text, max_n=DEFAULT_MAX_N):
     """Decode one graph6 line into a Graph."""
@@ -25,30 +52,27 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
         line = line[len(PREFIX):]
     if not line:
         raise Graph6Error("empty graph6 line", offset=base)
-    data = []
-    for i, ch in enumerate(line):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(
-                "character %r outside graph6 range 63..126" % ch, offset=base + i
-            )
-        data.append(code - 63)
+    try:
+        t = int("".join([_BITS[ch] for ch in reversed(line)]), 2)
+    except KeyError:
+        i = next(i for i, ch in enumerate(line) if ch not in _BITS)
+        raise Graph6Error(
+            "character %r outside graph6 range 63..126" % line[i], offset=base + i
+        ) from None
 
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
-        body_base = base + 1
+    if line[0] != "~":
+        n = ord(line[0]) - 63
+        head = 1
     else:
-        if len(data) < 4:
+        if len(line) < 4:
             raise Graph6Error("truncated extended-n header", offset=base + len(line))
-        if data[1] == 63:
+        if line[1] == "~":
             raise Graph6Error(
                 "8-byte n encoding not supported (n > %d)" % _FORMAT_MAX_N,
                 offset=base + 1,
             )
-        n = (data[1] << 12) | (data[2] << 6) | (data[3])
-        body = data[4:]
-        body_base = base + 4
+        n = (ord(line[1]) - 63) << 12 | (ord(line[2]) - 63) << 6 | ord(line[3]) - 63
+        head = 4
     if n == 0:
         raise Graph6Error("graph6 n=0 not supported (graphs are nonempty)", offset=base)
     if n > max_n:
@@ -59,32 +83,22 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) < need:
+    got = len(line) - head
+    body_base = base + head
+    if got < need:
         raise Graph6Error(
-            "truncated adjacency section: need %d bytes, got %d" % (need, len(body)),
-            offset=body_base + len(body),
+            "truncated adjacency section: need %d bytes, got %d" % (need, got),
+            offset=body_base + got,
         )
-    if len(body) > need:
+    if got > need:
         raise Graph6Error(
             "trailing bytes after adjacency section", offset=body_base + need
         )
-
-    adj = [0] * n
-    bit = 0
-    for col in range(1, n):
-        for row in range(col):
-            if body[bit // 6] >> (5 - bit % 6) & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            bit += 1
-    # padding bits must be zero for a canonical line; tolerate nonzero? No:
-    # reject, so that parse/emit is bit-exact.
-    while bit < 6 * need:
-        chunk = body[bit // 6]
-        if (chunk >> (5 - bit % 6)) & 1:
-            raise Graph6Error("nonzero padding bit", offset=body_base + bit // 6)
-        bit += 1
-    return Graph.from_masks(adj)
+    t >>= 6 * head
+    # padding bits (all in the last byte) must be zero: parse/emit is bit-exact
+    if t >> nbits:
+        raise Graph6Error("nonzero padding bit", offset=body_base + need - 1)
+    return Graph.from_masks(_masks(n, t))
 
 
 def emit_graph6(g, max_n=DEFAULT_MAX_N):
@@ -93,33 +107,27 @@ def emit_graph6(g, max_n=DEFAULT_MAX_N):
     if n > max_n:
         raise Graph6Error("graph order %d exceeds cap %d" % (n, max_n))
     if n <= 62:
-        head = [n]
+        head = chr(63 + n)
     else:
-        head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    out = list(head)
-    acc = 0
-    nacc = 0
-    for col in range(1, n):
-        for row in range(col):
-            acc = (acc << 1) | (g.adj[row] >> col & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(acc)
-                acc = 0
-                nacc = 0
-    if nacc:
-        out.append(acc << (6 - nacc))
-    return "".join(chr(c + 63) for c in out)
+        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    m = (n * (n - 1) // 2 + 5) // 6
+    # every 3 bytes hold 4 groups; cutting bytes keeps emit linear in m
+    b = _triangle(g.adj).to_bytes((m + 3) // 4 * 3, "little")
+    out = [head]
+    for i in range(0, len(b), 3):
+        w = b[i] | b[i + 1] << 8 | b[i + 2] << 16
+        out += _CHARS[w & 63], _CHARS[w >> 6 & 63], _CHARS[w >> 12 & 63], _CHARS[w >> 18]
+    return "".join(out[:m + 1])
 
 
-def read_graph6_lines(lines, max_n=DEFAULT_MAX_N):
+def read_graph6_lines(lines):
     """Parse an iterable of graph6 lines, skipping blank ones.  Yields
     (line number from 1, Graph) per line, or (line number, Graph6Error)
-    for a line that fails to parse; raises nothing itself."""
+    for a line that fails parse_graph6 at DEFAULT_MAX_N; raises nothing."""
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line:
             try:
-                yield lineno, parse_graph6(line, max_n=max_n)
+                yield lineno, parse_graph6(line)
             except Graph6Error as e:
                 yield lineno, e

@@ -198,10 +198,13 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
 
     Stationary cops hold their vertices and strike any robber entering
     their closed neighbourhood; mobile cops run the bounded-degree chase
-    on the residual arena.  Traces are fully deterministic.
+    on the residual arena.  Traces are fully deterministic.  max_rounds
+    (default 4n) must be at least 0.
     """
     if max_rounds is None:
         max_rounds = 4 * g.n
+    elif max_rounds < 0:
+        raise ValueError("max_rounds must be at least 0, got %d" % max_rounds)
     policy = _robber_policy(g, plan, robber_policy)
     name = "greedy" if isinstance(policy, _GreedyRobber) else "optimal"
 

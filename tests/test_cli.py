@@ -311,3 +311,10 @@ class TestSimulate:
         code, text = run(["simulate", "--input", petersen_file, "--robber", "greedy"])
         assert code == EXIT_OK
         assert "captured round=" in text
+
+    def test_max_rounds_must_be_nonnegative(self, petersen_file, capsys):
+        # rejected before the first trace is written
+        code, text = run(["simulate", "--input", petersen_file, "--max-rounds", "-1"])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")

@@ -35,6 +35,15 @@ class TestParse:
         with pytest.raises(Graph6Error):
             parse_graph6("D")
 
+    @pytest.mark.parametrize("line, offset", [
+        ("A`", 1), ("D?A", 2), (">>graph6<<D?@", 12),
+    ])
+    def test_nonzero_padding_bit_names_last_byte(self, line, offset):
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6(line)
+        assert str(e.value) == "nonzero padding bit (byte offset %d)" % offset
+        assert e.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):
             parse_graph6("A__")
@@ -52,7 +61,9 @@ class TestParse:
     def test_extended_header_round_trip(self):
         g = Graph(100, [(0, 99), (1, 2)])
         s = emit_graph6(g, max_n=200)
-        assert s[0] == chr(126)
+        # header ~ 0 1 36; 825 body bytes: pair (1, 2) is bit 2 (byte 0),
+        # pair (0, 99) is bit 99*98/2 = 4851 (byte 808, bit 3)
+        assert s == "~?@c" + "G" + "?" * 807 + "C" + "?" * 16
         g2 = parse_graph6(s, max_n=200)
         assert g2.adj == g.adj
 

@@ -147,6 +147,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(petersen_graph, plan, robber_policy="psychic")
 
+    def test_negative_max_rounds(self, petersen_graph):
+        plan = build_theorem1_plan(petersen_graph)
+        with pytest.raises(ValueError, match="max_rounds must be at least 0"):
+            simulate(petersen_graph, plan, max_rounds=-1)
+
     def test_survived_when_rounds_too_few(self, petersen_graph):
         plan = build_theorem1_plan(petersen_graph)
         trace = simulate(petersen_graph, plan, max_rounds=0)
