@@ -5,8 +5,10 @@ read and never written.  Encoded bytes are chr(63)..chr(126), six bits
 each, first bit highest.  The body holds the triangle integer, in which
 pair u < v is bit v(v-1)/2 + u, as 6-bit groups from the lowest, padded
 with zero bits.  ``_BITS`` spells each character's group in binary with
-the first bit lowest (a missing key is an out-of-range character), and
-``_CHARS`` maps a group back to its character.
+the first bit lowest, and ``_CHARS`` maps a group back to its character.
+A line is checked for out-of-range characters, then for its header and
+length, and only then decoded, so a bad line costs no more memory than
+the line itself.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ _FORMAT_MAX_N = 258047  # largest n expressible in the 4-byte header
 
 _BITS = {chr(63 + c): format(c, "06b")[::-1] for c in range(64)}
 _CHARS = sorted(_BITS, key=_BITS.__getitem__)  # bit strings sort as their values
+_VALID = "".join(_BITS)
 
 
 def _masks(n, t):
@@ -52,13 +55,12 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
         line = line[len(PREFIX):]
     if not line:
         raise Graph6Error("empty graph6 line", offset=base)
-    try:
-        t = int("".join([_BITS[ch] for ch in reversed(line)]), 2)
-    except KeyError:
-        i = next(i for i, ch in enumerate(line) if ch not in _BITS)
+    bad = line.lstrip(_VALID)
+    if bad:
         raise Graph6Error(
-            "character %r outside graph6 range 63..126" % line[i], offset=base + i
-        ) from None
+            "character %r outside graph6 range 63..126" % bad[0],
+            offset=base + len(line) - len(bad),
+        )
 
     if line[0] != "~":
         n = ord(line[0]) - 63
@@ -94,7 +96,8 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
         raise Graph6Error(
             "trailing bytes after adjacency section", offset=body_base + need
         )
-    t >>= 6 * head
+    # only now, with the line's length fixed by n, build the integer
+    t = int("".join([_BITS[ch] for ch in reversed(line)]), 2) >> 6 * head
     # padding bits (all in the last byte) must be zero: parse/emit is bit-exact
     if t >> nbits:
         raise Graph6Error("nonzero padding bit", offset=body_base + need - 1)

@@ -52,9 +52,6 @@ class Graph:
     def neighbors(self, v):
         return list(bits(self.adj[v]))
 
-    def degree(self, v):
-        return self.adj[v].bit_count()
-
     def degrees(self):
         return [m.bit_count() for m in self.adj]
 

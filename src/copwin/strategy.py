@@ -10,10 +10,12 @@ The mobile-cop endgame is a concrete elaboration of the bounded-degree
 chase: assign one cop per arena neighbour of the robber, walk each cop
 into the closed neighbourhood of its target (one step suffices at
 diameter 2), and capture as soon as any cop starts its turn adjacent to
-the robber.  Its correctness is established by exhaustive simulation
-against the exactly-optimal robber on all small diameter-2 arenas, not
-assumed.  That robber is the SolveResult of the full game: its
-robber_placement and robber_move are the optimal replies.
+the robber.  It is checked, not assumed, by simulation against the
+exactly-optimal robber on every theorem 1 class with n <= 9, and it
+fails on one of them: on the bipartite diameter-3 graph GkCPXW (n = 8,
+c = 2, 4 planned cops) the play repeats every two rounds from round 3
+and the robber survives.  That robber is the SolveResult of the full
+game: its robber_placement and robber_move are the optimal replies.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ def build_theorem1_plan(g):
         )
     alive = (1 << g.n) - 1
     guards = []
-    stage = 0
     while alive:
         m = alive.bit_count()
         thresh = math.isqrt(2 * m)
@@ -104,9 +105,8 @@ def build_theorem1_plan(g):
         deg = (g.adj[top] & alive).bit_count()
         if deg <= thresh:
             break
-        guards.append(StationaryGuard(top, stage, m, thresh, deg))
+        guards.append(StationaryGuard(top, len(guards), m, thresh, deg))
         alive &= ~g.closed_mask(top)
-        stage += 1
     mobile = math.isqrt(2 * alive.bit_count())
     residual = Arena.induced(g, bits(alive))
     return CopPlan(
@@ -132,7 +132,7 @@ def lemma2_move(g, arena, cop_list, robber):
     are greedily matched to the robber's arena neighbours and each walks
     toward its target.
     """
-    targets = sorted(bits(arena.adj[robber])) if robber < g.n else []
+    targets = list(bits(arena.adj[robber]))
     if len(targets) > len(cop_list):
         raise ValueError(
             "arena degree %d exceeds mobile cop count %d"
@@ -210,44 +210,28 @@ def simulate(g, plan, robber_policy="optimal", max_rounds=None):
 
     guard_verts = [s.vertex for s in plan.stationary]
     start = guard_verts[0] if guard_verts else 0
-    cop_list = guard_verts + [start] * plan.mobile_cop_count
+    cops = guard_verts + [start] * plan.mobile_cop_count
     nguards = len(guard_verts)
 
-    robber = policy.robber_placement(cop_list)
-    rounds = [(0, tuple(cop_list), robber)]
-
-    def trace(outcome, capture_round):
-        return StrategyTrace(tuple(rounds), outcome, capture_round, max_rounds, name)
-
-    if robber in cop_list:
-        return trace("captured", 0)
-
-    for rnd in range(1, max_rounds + 1):
-        # cops' move
-        new_cops = list(cop_list)
-        captured = False
+    robber = policy.robber_placement(cops)
+    rounds = [(0, tuple(cops), robber)]
+    rnd = 0
+    while robber not in cops:
+        if rnd == max_rounds:
+            return StrategyTrace(tuple(rounds), "survived", None, max_rounds, name)
+        rnd += 1
+        # cops' move: a guard whose closed neighbourhood holds the robber
+        # strikes; otherwise the mobile cops capture or chase
         for i in range(nguards):
-            gv = cop_list[i]
-            if g.closed_mask(gv) >> robber & 1:
-                new_cops[i] = robber
-                captured = True
+            if g.closed_mask(cops[i]) >> robber & 1:
+                cops[i] = robber
                 break
-        if not captured:
-            mobile = cop_list[nguards:]
-            if mobile:
-                moved = lemma2_move(g, plan.residual_arena, mobile, robber)
-                new_cops[nguards:] = moved
-                captured = robber in moved
-        cop_list = new_cops
-        if captured:
-            rounds.append((rnd, tuple(cop_list), robber))
-            return trace("captured", rnd)
-        # robber's move
-        robber = policy.robber_move(cop_list, robber)
-        rounds.append((rnd, tuple(cop_list), robber))
-        if robber in cop_list:
-            return trace("captured", rnd)
-    return trace("survived", None)
+        else:
+            cops[nguards:] = lemma2_move(g, plan.residual_arena, cops[nguards:], robber)
+        if robber not in cops:
+            robber = policy.robber_move(cops, robber)
+        rounds.append((rnd, tuple(cops), robber))
+    return StrategyTrace(tuple(rounds), "captured", rnd, max_rounds, name)
 
 
 def format_trace(trace):

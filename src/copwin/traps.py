@@ -163,19 +163,10 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
 
     best_size = len(edge_masks) + 1
     best_set = None
-    lower_bound = _matching_lower_bound
-    left = max_nodes
-    if max_nodes is not None:
-
-        def lower_bound(edges):  # one call per inner node: count them here
-            nonlocal left
-            left -= 1
-            if left < 0:
-                raise _Stop
-            return _matching_lower_bound(edges)
+    left = math.inf if max_nodes is None else max_nodes
 
     def branch(remaining, chosen):
-        nonlocal best_size, best_set
+        nonlocal best_size, best_set, left
         if not remaining:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -183,8 +174,11 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
                 if best_size <= floor:
                     raise _Stop
             return
+        left -= 1  # one inner node
+        if left < 0:
+            raise _Stop
         need = best_size - len(chosen)
-        if lower_bound(remaining) >= need or _counting_bound_prunes(remaining, need):
+        if _matching_lower_bound(remaining) >= need or _counting_bound_prunes(remaining, need):
             return
         # branch over the vertices of a smallest remaining edge
         pivot = min(remaining, key=int.bit_count)
@@ -196,7 +190,7 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     try:
         branch(edge_masks, [])
     except _Stop:
-        if left is not None and left < 0:
+        if left < 0:
             return None
     return best_size, best_set
 

@@ -290,7 +290,18 @@ class TestIneq:
         assert rec["violations"] == 0
 
 
+# sha256 of `copwin simulate --nmax 7` stdout: 2,242 lines, one trace per
+# theorem 1 class on at most 7 vertices
+SIMULATE_NMAX7_SHA256 = "46eb5fe8f0f921131413c3d71ed622100280f697c3dfe42193e942dc5d71f3b5"
+
+
 class TestSimulate:
+    def test_report_n7_pinned(self):
+        code, text = run(["simulate", "--nmax", "7"])
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 2242
+        assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_NMAX7_SHA256
+
     def test_petersen(self, petersen_file):
         code, text = run(["simulate", "--input", petersen_file])
         assert code == EXIT_OK

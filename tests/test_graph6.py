@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,20 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):
             parse_graph6("A__")
+
+    def test_long_line_refused_in_memory_below_its_length(self):
+        # the header says n = 2, one body byte; the 20 MB body is refused
+        # before any integer is built from it
+        line = "A" + "?" * 20_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(Graph6Error) as e:
+                parse_graph6(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == "trailing bytes after adjacency section (byte offset 2)"
+        assert peak < len(line)
 
     def test_empty_line(self):
         with pytest.raises(Graph6Error):

@@ -170,7 +170,7 @@ class TestSubgraphs:
     def test_order_formula(self, petersen_graph):
         for v in range(10):
             h = delete_closed_neighborhood(petersen_graph, v)
-            assert h.n == petersen_graph.n - petersen_graph.degree(v) - 1
+            assert h.n == petersen_graph.n - petersen_graph.degrees()[v] - 1
 
     def test_induced_subgraph(self):
         g = cycle(6)

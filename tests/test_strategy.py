@@ -4,6 +4,7 @@ import pytest
 
 from copwin.enumeration import connected_graph_classes
 from copwin.families import complete, cycle, petersen, polarity
+from copwin.graph6 import parse_graph6
 from copwin.graphs import Graph, diameter, is_bipartite
 from copwin.strategy import (
     build_theorem1_plan,
@@ -128,6 +129,14 @@ class TestSimulate:
         er5 = polarity(5)  # 7 cops on 31 vertices: far above the cap
         trace = simulate(er5, build_theorem1_plan(er5), robber_policy="optimal")
         assert trace.robber_policy == "greedy"
+
+    @pytest.mark.xfail(strict=True, reason="the chase cycles on GkCPXW against the optimal robber")
+    def test_captures_on_bipartite_diameter_three_gkcpxw(self):
+        # n = 8, c = 2, 4 planned cops; the one theorem 1 class n <= 9
+        # where the optimal robber is never caught (the greedy one is)
+        g = parse_graph6("GkCPXW")
+        trace = simulate(g, build_theorem1_plan(g))
+        assert trace.outcome == "captured"
 
     def test_deterministic(self, petersen_graph):
         plan = build_theorem1_plan(petersen_graph)
