@@ -12,7 +12,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    delete_closed_neighborhood,
+    core,
     diameter,
     girth,
     induced_subgraph,
@@ -54,8 +54,6 @@ from .traps import (
     Hypergraph,
     check_lemma4,
     chvatal_bound,
-    count_alpha_traps,
-    is_s_trap,
     min_transversal,
     trap_threshold,
 )

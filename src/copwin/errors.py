@@ -37,7 +37,9 @@ class StateBudgetError(CopwinError, RuntimeError):
     ``lower_bound`` is set by the cop-number search: a certified lower
     bound on the cop number, the larger of the search's LB and the k
     whose solve ran out of budget (every smaller k was solved and lost,
-    or is excluded by LB).  Direct cops_win calls leave it None.
+    or is excluded by LB).  In the standard game LB and the solves may
+    be on the corner-free core; the bound still holds for G, since
+    c(G) = c(core).  Direct cops_win calls leave it None.
     """
 
     def __init__(self, estimated, budget, lower_bound=None, counted="states"):

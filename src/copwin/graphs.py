@@ -61,9 +61,6 @@ class Graph:
     def edges(self):
         return [(u, v) for u, m in enumerate(self.adj) for v in bits(m >> (u + 1) << (u + 1))]
 
-    def edge_count(self):
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -192,45 +189,38 @@ def induced_subgraph(g, verts):
     return Graph(len(verts), edges)
 
 
-def delete_closed_neighborhood(g, v):
-    """Induced subgraph on V minus N[v].
+def core(g):
+    """The corner-free core of g, as the mask of the vertices left.
 
-    The result may be the empty set of vertices; that is signalled by
-    returning None rather than an (invalid) 0-vertex Graph.
+    A corner is a vertex u with N[u] inside N[v] for some other vertex v;
+    then v is a neighbour of u.  Corners are deleted, each against the
+    vertices still alive, until none is left.  Deleting a corner is a
+    retract that keeps the cop number (Berarducci and Intrigila, 1993),
+    and the core is the same up to isomorphism in every deletion order.
     """
-    if not 0 <= v < g.n:
-        raise ValueError("vertex %d out of range" % v)
-    keep = [u for u in range(g.n) if not (g.closed_mask(v) >> u & 1)]
-    if not keep:
-        return None
-    return induced_subgraph(g, keep)
+    adj = g.adj
+    alive = (1 << g.n) - 1
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for u, nu in enumerate(adj):
+            bit = 1 << u
+            if not alive & bit:
+                continue
+            cu = (nu | bit) & alive
+            m = nu & alive
+            while m:
+                low = m & -m
+                if cu & ~(adj[low.bit_length() - 1] | low) == 0:
+                    alive ^= bit
+                    shrunk = True
+                    break
+                m ^= low
+    return alive
 
 
 def is_dismantlable(g):
-    """Cop-win test: repeatedly delete dominated vertices down to K_1.
-
-    A vertex u is dominated by v when N[u] is contained in N[v].  The
-    reduction order does not matter for the final verdict, so any
-    dominated vertex is deleted greedily.
-    """
+    """Cop-win test (Nowakowski and Winkler, 1983): the core is K_1."""
     if not is_connected(g):
         raise DisconnectedGraphError("is_dismantlable requires a connected graph")
-    alive = list(range(g.n))
-    closed = {v: g.closed_mask(v) for v in alive}
-    while len(alive) > 1:
-        victim = None
-        for u in alive:
-            cu = closed[u]
-            for v in alive:
-                if v != u and cu & ~closed[v] == 0:
-                    victim = u
-                    break
-            if victim is not None:
-                break
-        if victim is None:
-            return False
-        alive.remove(victim)
-        vb = 1 << victim
-        for v in alive:
-            closed[v] &= ~vb
-    return True
+    return core(g).bit_count() == 1

@@ -82,16 +82,19 @@ are about.
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
 search, _least_winning_k, which solves only the k in [LB, UB):
 
-* In the standard full-arena game a dismantlable graph has LB = UB = 1
-  (Nowakowski and Winkler, 1983).  Otherwise LB is 2 there, raised to
-  the minimum degree when the girth is at least 5 (Aigner and Fromme,
-  1984); in every other game LB is 1.
-* Otherwise UB is the least number of vertices whose closed
-  neighbourhoods cover the robber's arena (the domination number for
-  the full arena): cops placed there catch the robber on their first
-  move.  The cover search stops at a cover of LB vertices; after
-  COVER_MAX_NODES branch-and-bound nodes it gives up, and the search
-  runs with no UB.
+* In the standard full-arena game with a passing robber, LB, UB and
+  the solves for k >= 2 are on the corner-free core (graphs.core), as
+  c(G) = c(core).  A one-vertex core (G dismantlable) gives LB = UB = 1
+  (Nowakowski and Winkler, 1983).  Otherwise LB is 2, raised to the
+  core's minimum degree when its girth is at least 5 (Aigner and
+  Fromme, 1984).  The k=1 cross-check still solves on G.
+* Every other game (teleport, a restricted arena, a no-pass robber) is
+  on G with LB = 1: the corner argument does not hold there.
+* UB is the least number of vertices whose closed neighbourhoods cover
+  the robber's arena (the domination number for the full arena): cops
+  placed there catch the robber on their first move.  The cover search
+  stops at a cover of LB vertices; after COVER_MAX_NODES
+  branch-and-bound nodes it gives up, and the search runs with no UB.
 """
 
 from __future__ import annotations
@@ -102,14 +105,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
-from .graphs import (
-    bits,
-    girth,
-    induced_subgraph,
-    is_connected,
-    is_dismantlable,
-    reachable_mask,
-)
+from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
 from .traps import TRANSVERSAL_MAX_EDGES, TRANSVERSAL_MAX_N, _min_transversal_masks
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -530,80 +526,83 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
-    """Least k for which k cops win, searched between bounds: a
-    dismantlable graph has c = 1; otherwise LB is 2, raised to the
-    minimum degree when girth >= 5, and UB is the domination number
-    (none if its search gives up).  The k=1 verdict is cross-checked
-    against dismantlability on small instances.  An answer above max_k
-    raises CopwinError.
+    """Least k for which k cops win, searched between the bounds of
+    the module docstring on the corner-free core; the k=1 verdict is
+    cross-checked on G against dismantlability on small instances.  An
+    answer above max_k raises CopwinError.
 
     For a disconnected graph (with allow_disconnected) the value is the
-    sum over components.
+    sum over components, and max_k bounds that sum.
     """
     if not is_connected(g):
         if not allow_disconnected:
             raise DisconnectedGraphError(
                 "cop number of a disconnected graph needs allow_disconnected"
             )
-        return sum(cop_number(c, budget=budget, max_k=max_k) for c in _components(g))
+        total = sum(cop_number(c, budget=budget, max_k=max_k) for c in _components(g))
+        if max_k is not None and total > max_k:
+            raise CopwinError("cop number %d exceeds max_k=%d" % (total, max_k))
+        return total
     return _least_winning_k(g, GameConfig(), budget, max_k)
 
 
 def _bounds(g, template):
-    """(LB, UB, dismantlable) for the least winning k in the game
-    template on g, by the rules in the module docstring.  UB is None
-    when the cover search gives up or exceeds the transversal solver's
-    caps; dismantlable is None outside the standard full-arena game."""
-    lb, dismantlable = 1, None
+    """(LB, UB, core) for the least winning k in the game template on
+    g, by the rules in the module docstring.  core is the induced
+    subgraph on graphs.core(g), on which LB and UB are taken, in the one
+    game that has it, and None in every other.  UB is None when the
+    cover search gives up or exceeds the transversal solver's caps."""
+    lb, h = 1, None
     arena = template.robber_arena
     if template.variant == "standard" and arena is None and template.robber_may_pass:
-        dismantlable = is_dismantlable(g)
-        if dismantlable:
-            return 1, 1, True
+        keep = core(g)
+        h = g if keep == (1 << g.n) - 1 else induced_subgraph(g, bits(keep))
+        if h.n == 1:
+            return 1, 1, h
         lb = 2
-        if girth(g) >= 5:
-            lb = max(lb, min(g.degrees()))
+        if girth(h) >= 5:
+            lb = max(lb, min(h.degrees()))
+        g = h  # UB is the core's too
     verts = range(g.n) if arena is None else arena.vertices
     ub = None
     if g.n <= TRANSVERSAL_MAX_N and len(verts) <= TRANSVERSAL_MAX_EDGES:
         cover = [g.closed_mask(a) for a in verts]
         found = _min_transversal_masks(g.n, cover, lb, COVER_MAX_NODES)
         ub = found[0] if found else None
-    return lb, ub, dismantlable
+    return lb, ub, h
 
 
 def _least_winning_k(g, template, budget, max_k=None):
     """The one cop-count search: least k for which k cops win the game
     template (its k is ignored) on g, which is connected unless the game
-    is teleport.  Only k in [LB, UB) is solved; without an UB the search
-    runs up to max_k, or n.  On at most DISMANTLABLE_CROSS_CHECK_MAX_N
-    vertices, a game with a dismantlability verdict also solves k=1 to
-    check it.  A StateBudgetError carries LB, or the k out of budget if
-    larger."""
-    lb, ub, dismantlable = _bounds(g, template)
+    is teleport.  Only k in [LB, UB) is solved, on the core if any;
+    without an UB the search runs up to max_k, or n.  On at most
+    DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a core also
+    solves k=1 on g, which must win exactly when the core is K_1.  A
+    StateBudgetError carries LB, or the k out of budget if larger."""
+    lb, ub, h = _bounds(g, template)
     if ub is not None and ub < lb:
         raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
     top = max_k if max_k is not None else g.n
 
-    def wins(k):
+    def wins(k, on):
         try:
             # callers check connectivity; a disconnected g is a teleport game
             return cops_win(
-                g, replace(template, k=k), budget=budget, allow_disconnected=True
+                on, replace(template, k=k), budget=budget, allow_disconnected=True
             ).cops_win
         except StateBudgetError as e:
             raise StateBudgetError(
                 e.estimated, e.budget, lower_bound=max(lb, k), counted=e.counted
             ) from None
 
-    if dismantlable is not None and g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N:
-        if wins(1) != dismantlable:
-            raise CopwinError(
-                "solver/dismantlability mismatch on %d-vertex graph" % g.n
-            )
+    if h is None:
+        h = g  # a game without a core
+    elif g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N and wins(1, g) != (h.n == 1):
+        raise CopwinError("solver/dismantlability mismatch on %d-vertex graph" % g.n)
     stop = top + 1 if ub is None else min(ub, top + 1)
     for k in range(lb, stop):
-        if wins(k):
+        if wins(k, h):
             return k
     if ub is not None and ub <= top:
         return ub

@@ -222,29 +222,6 @@ def trap_threshold(g, v):
     return _min_transversal_masks(g.n, edges)[0]
 
 
-def is_s_trap(g, v, s):
-    """True iff floor(s) cops suffice to control all neighbours of v."""
-    return trap_threshold(g, v) <= math.floor(s)
-
-
-def count_alpha_traps(g, alpha):
-    """Number of alpha-traps."""
-    return trap_report(g, alpha)[1]
-
-
-def _trap_count_bound_holds(n, alpha, count):
-    """Exact check of count > alpha - sqrt(n - alpha) - 1 for integer
-    alpha, done by comparing squares (no floating point)."""
-    # count > alpha - sqrt(n-alpha) - 1  <=>  sqrt(n-alpha) > alpha-1-count
-    rhs = alpha - 1 - count
-    return rhs < 0 or n - alpha > rhs * rhs
-
-
-def trap_count_lower_bound_holds(g, alpha):
-    """The trap-count lemma's bound for one integer alpha."""
-    return _trap_count_bound_holds(g.n, alpha, count_alpha_traps(g, alpha))
-
-
 def check_lemma5(n, thresholds):
     """The trap-count lemma over every integer alpha in [sqrt(n), n],
     from a graph's per-vertex thresholds: (holds, min_margin), where
@@ -256,7 +233,9 @@ def check_lemma5(n, thresholds):
         (alpha, sum(1 for t in thresholds if t <= alpha))
         for alpha in range(lo, n + 1)
     ]
-    holds = all(_trap_count_bound_holds(n, a, c) for a, c in counts)
+    # count > alpha - sqrt(n - alpha) - 1, that is sqrt(n - alpha) >
+    # alpha - 1 - count, compared by squares (no floating point)
+    holds = all(a - 1 - c < 0 or n - a > (a - 1 - c) ** 2 for a, c in counts)
     return holds, min(c - (a - 1) for a, c in counts)
 
 

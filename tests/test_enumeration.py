@@ -54,7 +54,7 @@ class TestLabeledEnumeration:
         assert len(seen) == 38
 
     def test_predicate_filter(self):
-        bulls = sum(1 for g in enumerate_connected(4) if g.edge_count() == 3)
+        bulls = sum(1 for g in enumerate_connected(4) if len(g.edges()) == 3)
         # labeled trees on 4 vertices: Cayley 4^2
         assert bulls == 16
 

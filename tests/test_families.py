@@ -18,9 +18,9 @@ from copwin.graphs import diameter, girth, is_bipartite, is_connected
 
 
 def test_cycle_path_complete():
-    assert cycle(5).edge_count() == 5
-    assert path(4).edge_count() == 3
-    assert complete(6).edge_count() == 15
+    assert len(cycle(5).edges()) == 5
+    assert len(path(4).edges()) == 3
+    assert len(complete(6).edges()) == 15
     with pytest.raises(UnsupportedParameterError):
         cycle(2)
 

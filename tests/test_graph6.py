@@ -12,7 +12,7 @@ from copwin.graphs import Graph
 class TestParse:
     def test_k1(self):
         g = parse_graph6("@")
-        assert g.n == 1 and g.edge_count() == 0
+        assert g.n == 1 and len(g.edges()) == 0
 
     def test_k2(self):
         g = parse_graph6("A_")
@@ -20,7 +20,7 @@ class TestParse:
 
     def test_empty_on_five(self):
         g = parse_graph6("D??")
-        assert g.n == 5 and g.edge_count() == 0
+        assert g.n == 5 and len(g.edges()) == 0
 
     def test_header_prefix_tolerated(self):
         assert parse_graph6(">>graph6<<A_").has_edge(0, 1)

@@ -1,14 +1,17 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copwin.enumeration import canonical_graph, connected_graph_classes
 from copwin.errors import DisconnectedGraphError
 from copwin.families import complete, cycle, path
 from copwin.graphs import (
     Graph,
     bfs_distances,
-    delete_closed_neighborhood,
+    bits,
+    core,
     diameter,
     girth,
     induced_subgraph,
@@ -69,7 +72,7 @@ class TestGraphBasics:
 
     def test_multi_edge_collapses(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
-        assert g.edge_count() == 1
+        assert len(g.edges()) == 1
 
     @given(graph_strategy())
     def test_adjacency_symmetric_irreflexive(self, g):
@@ -102,7 +105,7 @@ class TestMetrics:
 
     @given(graph_strategy(6))
     def test_diameter_one_iff_complete(self, g):
-        expect = g.n > 1 and g.edge_count() == g.n * (g.n - 1) // 2
+        expect = g.n > 1 and len(g.edges()) == g.n * (g.n - 1) // 2
         assert (diameter(g) == 1) == expect
 
     @given(graph_strategy(6))
@@ -156,20 +159,11 @@ class TestMetrics:
 
 
 class TestSubgraphs:
-    def test_delete_closed_neighborhood_complete(self):
-        assert delete_closed_neighborhood(complete(6), 3) is None
-
-    def test_delete_closed_neighborhood_cycle(self):
-        h = delete_closed_neighborhood(cycle(5), 0)
-        assert h.n == 2 and h.edge_count() == 1
-
-    def test_delete_closed_neighborhood_petersen(self, petersen_graph):
-        h = delete_closed_neighborhood(petersen_graph, 0)
-        assert h.n == 10 - 3 - 1
-
     def test_order_formula(self, petersen_graph):
+        # G - N[v] has n - deg(v) - 1 vertices
+        full = (1 << 10) - 1
         for v in range(10):
-            h = delete_closed_neighborhood(petersen_graph, v)
+            h = induced_subgraph(petersen_graph, bits(full & ~petersen_graph.closed_mask(v)))
             assert h.n == petersen_graph.n - petersen_graph.degrees()[v] - 1
 
     def test_induced_subgraph(self):
@@ -196,3 +190,29 @@ class TestDismantlable:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             is_dismantlable(Graph(2))
+
+
+def _core_graph(g):
+    return induced_subgraph(g, bits(core(g)))
+
+
+class TestCore:
+    def test_path_shrinks_to_one_vertex(self):
+        for n in (1, 2, 5, 8):
+            assert core(path(n)).bit_count() == 1
+
+    def test_corner_free_graphs_keep_every_vertex(self, petersen_graph, hoffman_singleton_graph):
+        for g in (cycle(4), petersen_graph, hoffman_singleton_graph):
+            assert core(g) == (1 << g.n) - 1
+
+    def test_unique_up_to_isomorphism(self):
+        # relabelling changes the order in which corners are deleted,
+        # never the core's isomorphism class
+        rng = random.Random(16)
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                want = canonical_graph(_core_graph(g))
+                for _ in range(3):
+                    perm = rng.sample(range(n), n)
+                    h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                    assert canonical_graph(_core_graph(h)) == want, g

@@ -10,7 +10,7 @@ from copwin import solver
 from copwin.enumeration import connected_graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
-from copwin.graphs import Graph, is_dismantlable
+from copwin.graphs import Graph, bits, core, induced_subgraph, is_dismantlable
 from copwin.solver import (
     Arena,
     GameConfig,
@@ -86,13 +86,29 @@ class TestCopNumber:
             raise AssertionError("cover search ran")
 
         monkeypatch.setattr(solver, "_min_transversal_masks", refuse)
-        assert _bounds(path(6), GameConfig()) == (1, 1, True)
+        lb, ub, h = _bounds(path(6), GameConfig())
+        assert (lb, ub, h.n) == (1, 1, 1)
         assert cop_number(path(6)) == 1
         assert cop_number(complete(40), budget=10) == 1
 
     def test_max_k_exhausted(self):
         with pytest.raises(CopwinError):
             cop_number(cycle(4), max_k=1)
+
+    def test_max_k_bounds_the_sum_over_components(self):
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+        assert cop_number(g, allow_disconnected=True, max_k=4) == 4
+        with pytest.raises(CopwinError):
+            cop_number(g, allow_disconnected=True, max_k=3)
+
+    def test_core_keeps_cop_number(self):
+        # c(G) = c(core), solved on both sides without bounds
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                if is_dismantlable(g):
+                    continue
+                h = induced_subgraph(g, bits(core(g)))
+                assert _least_winning_k(g) == _least_winning_k(h) == cop_number(g), g
 
 
 def _least_winning_k(g, **cfg):

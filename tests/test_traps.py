@@ -15,10 +15,7 @@ from copwin.traps import (
     check_lemma4,
     check_lemma5,
     chvatal_bound,
-    count_alpha_traps,
-    is_s_trap,
     min_transversal,
-    trap_count_lower_bound_holds,
     trap_report,
     trap_threshold,
 )
@@ -197,32 +194,38 @@ class TestTrapThreshold:
 
 class TestTrapPredicates:
     def test_is_s_trap_floor(self):
-        g = cycle(5)
-        assert is_s_trap(g, 0, 2.9)
-        assert not is_s_trap(g, 0, 1.9)
+        # every vertex of C5 has threshold 2: an s-trap for s = 2.9, not 1.9
+        assert trap_report(cycle(5), 2.9)[1] == 5
+        assert trap_report(cycle(5), 1.9)[1] == 0
 
     def test_count_alpha_traps(self, petersen_graph):
-        assert count_alpha_traps(petersen_graph, 3) == 10
-        assert count_alpha_traps(petersen_graph, 2) == 0
-        assert count_alpha_traps(cycle(5), 2) == 5
+        assert trap_report(petersen_graph, 3)[1] == 10
+        assert trap_report(petersen_graph, 2)[1] == 0
+        assert trap_report(cycle(5), 2)[1] == 5
 
     def test_count_range_check(self):
         for alpha in (-1, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
-                count_alpha_traps(cycle(5), alpha)
+                trap_report(cycle(5), alpha)
 
     def test_trap_count_lower_bound(self, petersen_graph):
-        for alpha in range(4, 11):
-            assert trap_count_lower_bound_holds(petersen_graph, alpha)
+        # every alpha in [sqrt(10), 10] = [4, 10]
+        assert check_lemma5(10, trap_report(petersen_graph)[0])[0]
 
     def test_check_lemma5_matches_per_alpha_counts(self):
         # thresholds computed once against a fresh count per alpha
         for n in range(1, 7):
             lo = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
             for g in connected_graph_classes(n):
-                alphas = range(lo, n + 1)
-                margin = min(count_alpha_traps(g, a) - (a - 1) for a in alphas)
-                holds = all(trap_count_lower_bound_holds(g, a) for a in alphas)
+                counts = {
+                    a: sum(1 for v in range(n) if trap_threshold(g, v) <= a)
+                    for a in range(lo, n + 1)
+                }
+                margin = min(c - (a - 1) for a, c in counts.items())
+                # count > alpha - sqrt(n - alpha) - 1, compared via squares
+                holds = all(
+                    a - 1 - c < 0 or n - a > (a - 1 - c) ** 2 for a, c in counts.items()
+                )
                 assert check_lemma5(n, trap_report(g)[0]) == (holds, margin)
 
     def test_check_lemma4(self, petersen_graph):
