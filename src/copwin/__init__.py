@@ -27,7 +27,7 @@ from .enumeration import (
     enumerate_connected,
     graph_classes,
 )
-from .families import GraphFamily, generate
+from .families import generate
 from .solver import (
     Arena,
     GameConfig,

@@ -27,7 +27,7 @@ from collections import Counter
 
 from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
-from .families import FAMILIES, GraphFamily, generate
+from .families import FAMILIES, generate
 from .graph6 import DEFAULT_MAX_N, emit_graph6, read_graph6_lines
 from .graphs import diameter, is_bipartite
 from .solver import (
@@ -240,11 +240,11 @@ def cmd_scan(args, out):
 
 
 def cmd_gen(args, out):
-    # cycle, path and complete take the order: check the cap before the
+    # a family whose parameter is the order: check the cap before the
     # O(n^2)-bit rows are built
-    if args.family in ("cycle", "path", "complete") and (args.param or 0) > DEFAULT_MAX_N:
+    if FAMILIES[args.family][1] == "order" and (args.param or 0) > DEFAULT_MAX_N:
         raise ValueError("graph order %d exceeds cap %d" % (args.param, DEFAULT_MAX_N))
-    g = generate(GraphFamily(args.family, args.param))
+    g = generate(args.family, args.param)
     out.write(emit_graph6(g) + "\n")  # under the cap every reader applies
     return EXIT_OK
 

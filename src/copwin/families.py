@@ -3,38 +3,21 @@ cycles, paths, complete graphs, the diameter-2 Moore graphs (C_5 via
 cycle, Petersen, Hoffman-Singleton), polarity graphs ER_q, and the
 point-line incidence graphs of the projective planes PG(2, q).
 
+``FAMILIES`` is the table of them: each name maps to its constructor
+and the kind of its parameter, which ``generate`` and the CLI read.
+
 Finite-geometry generators accept prime q <= 13 only; prime-power
 fields are deliberately out of scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UnsupportedParameterError
 from .graphs import Graph
 
 MAX_PRIME = 13
-FAMILIES = (
-    "cycle",
-    "path",
-    "complete",
-    "petersen",
-    "hoffman_singleton",
-    "polarity",
-    "incidence",
-)
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """A family tag plus its integer parameter (cycle/path/complete take a
-    length n; polarity/incidence take a prime q; the named Moore graphs
-    take no parameter)."""
-
-    family: str
-    parameter: int | None = None
 
 
 def _is_prime(q):
@@ -101,16 +84,6 @@ def hoffman_singleton():
     return Graph(50, set(tuple(sorted(e)) for e in edges))
 
 
-def _check_prime(q):
-    # the cap first: trial division on a huge q would run for minutes
-    if q > MAX_PRIME:
-        raise UnsupportedParameterError(
-            "q=%d exceeds supported maximum %d" % (q, MAX_PRIME)
-        )
-    if not _is_prime(q):
-        raise UnsupportedParameterError("q=%d is not prime" % q)
-
-
 def projective_points(q):
     """Normalized homogeneous coordinates of the points of PG(2, q):
     (1,a,b), then (0,1,a), then (0,0,1).  Count q^2 + q + 1."""
@@ -120,53 +93,63 @@ def projective_points(q):
     return pts
 
 
+def _orthogonal_pairs(q):
+    """The number N of points of PG(2, q), and every ordered pair (i, j)
+    of point indices, i = j included, whose coordinate vectors have dot
+    product 0 mod q; one relation gives both graphs below."""
+    # the cap first: trial division on a huge q would run for minutes
+    if q > MAX_PRIME:
+        raise UnsupportedParameterError(
+            "q=%d exceeds supported maximum %d" % (q, MAX_PRIME)
+        )
+    if not _is_prime(q):
+        raise UnsupportedParameterError("q=%d is not prime" % q)
+    pts = projective_points(q)
+    return len(pts), [
+        (i, j)
+        for i, x in enumerate(pts)
+        for j, y in enumerate(pts)
+        if sum(a * b for a, b in zip(x, y)) % q == 0
+    ]
+
+
 def polarity(q):
     """Erdos-Renyi polarity graph ER_q: points of PG(2, q), with x ~ y iff
     x . y = 0 (mod q) and x != y."""
-    _check_prime(q)
-    pts = projective_points(q)
-    n = len(pts)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sum(a * b for a, b in zip(pts[i], pts[j])) % q == 0:
-                edges.append((i, j))
-    return Graph(n, edges)
+    n, pairs = _orthogonal_pairs(q)
+    return Graph(n, [(i, j) for i, j in pairs if i < j])
 
 
 def incidence(q):
     """Point-line incidence graph of PG(2, q): bipartite on points
     (labels 0..N-1) and lines (labels N..2N-1), point ~ line iff the dot
     product of their coordinate vectors vanishes mod q."""
-    _check_prime(q)
-    pts = projective_points(q)
-    n = len(pts)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if sum(a * b for a, b in zip(pts[i], pts[j])) % q == 0:
-                edges.append((i, n + j))
-    return Graph(2 * n, edges)
+    n, pairs = _orthogonal_pairs(q)
+    return Graph(2 * n, [(i, n + j) for i, j in pairs])
 
 
-def generate(fam):
-    """Build the graph described by a GraphFamily."""
-    tag = fam.family
-    param = fam.parameter
-    if tag not in FAMILIES:
-        raise UnsupportedParameterError("unknown family %r" % tag)
-    if tag in ("petersen", "hoffman_singleton"):
-        if param is not None:
-            raise UnsupportedParameterError("%s takes no parameter" % tag)
-        return petersen() if tag == "petersen" else hoffman_singleton()
-    if param is None:
-        raise UnsupportedParameterError("%s requires a parameter" % tag)
-    if tag == "cycle":
-        return cycle(param)
-    if tag == "path":
-        return path(param)
-    if tag == "complete":
-        return complete(param)
-    if tag == "polarity":
-        return polarity(param)
-    return incidence(param)
+# name -> (constructor, parameter kind): "order" is the vertex count,
+# "prime" a prime q <= MAX_PRIME, None takes no parameter
+FAMILIES = {
+    "cycle": (cycle, "order"),
+    "path": (path, "order"),
+    "complete": (complete, "order"),
+    "petersen": (petersen, None),
+    "hoffman_singleton": (hoffman_singleton, None),
+    "polarity": (polarity, "prime"),
+    "incidence": (incidence, "prime"),
+}
+
+
+def generate(family, parameter=None):
+    """Build the graph of the FAMILIES entry named family."""
+    if family not in FAMILIES:
+        raise UnsupportedParameterError("unknown family %r" % family)
+    build, kind = FAMILIES[family]
+    if kind is None:
+        if parameter is not None:
+            raise UnsupportedParameterError("%s takes no parameter" % family)
+        return build()
+    if parameter is None:
+        raise UnsupportedParameterError("%s requires a parameter" % family)
+    return build(parameter)

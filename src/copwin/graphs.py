@@ -179,14 +179,11 @@ def girth(g):
 def induced_subgraph(g, verts):
     """Induced subgraph on the given vertices, relabelled 0..m-1 ascending."""
     verts = sorted(set(verts))
+    if not verts or verts[0] < 0 or verts[-1] >= g.n:
+        raise ValueError("induced subgraph needs one or more vertices, all in 0..%d" % (g.n - 1))
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.neighbors(u)
-        if u < v and v in index
-    ]
-    return Graph(len(verts), edges)
+    vm = sum(1 << v for v in verts)
+    return Graph.from_masks([sum(1 << index[w] for w in bits(g.adj[v] & vm)) for v in verts])
 
 
 def core(g):

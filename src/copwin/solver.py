@@ -18,8 +18,9 @@ run on whole vectors at C speed:
   built from one 256-entry superset indicator per move-mask byte.
   The vertices whose every move lies in a field are the AND over b of
   lane b translated through tables[b][o].  The tables depend only on
-  the robber's moves, so an arena changes only them; they are cached,
-  so the k of one cop-number search build them once.
+  the robber's moves, so an arena changes only them; they are cached
+  for the solves that repeat a graph's robber moves (see
+  ``_step_tables``).
 * One cop's move.  Split the vector into n blocks of n^(k-1) fields,
   one per vertex v of cop 1.  Output block v is the OR of input blocks
   w in N[v], on ints; cop 1 has moved.  n * ceil(n/8) strided slice
@@ -135,11 +136,11 @@ class Arena:
         for u, v in edges:
             if u not in vset or v not in vset:
                 raise ValueError("arena edge (%d, %d) leaves the arena" % (u, v))
-            if not g.has_edge(u, v):
-                raise ValueError("arena edge (%d, %d) is not an edge of G" % (u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(verts, tuple(adj))
+        arena = cls(verts, tuple(adj))
+        arena.validate_against(g)
+        return arena
 
     @classmethod
     def full(cls, g):
@@ -147,7 +148,8 @@ class Arena:
 
     def validate_against(self, g):
         """Vertices strictly increasing labels of g; one mask per vertex
-        of g, naming only edges of g inside the arena."""
+        of g, naming only edges of g inside the arena, each at both of
+        its ends."""
         if not self.vertices:
             raise ValueError("arena must be nonempty")
         if len(self.adj) != g.n:
@@ -158,6 +160,9 @@ class Arena:
         for v, inside in enumerate(Arena.induced(g, self.vertices).adj):
             if self.adj[v] & ~inside:
                 raise ValueError("arena edge at vertex %d is not an edge of G inside the arena" % v)
+            for w in bits(self.adj[v]):
+                if not self.adj[w] >> v & 1:
+                    raise ValueError("arena edge (%d, %d) is named at %d only" % (v, w, v))
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,12 @@ def _step_tables(nb, moves):
     vertices r whose moves in lane b (byte b of a field) lie inside the
     byte x.  Each is the sum, over those r, of the superset indicator of
     r's moves in lane b shifted to r's bit; the bits differ, so nothing
-    carries."""
+    carries.
+
+    The cache pays where one graph is solved again with the same robber
+    moves: the teleport searches and the preceq check.  The standard
+    cop-number search seldom hits it, as it solves k = 1 on G and
+    k >= 2 on the core."""
     return tuple(
         tuple(
             sum(

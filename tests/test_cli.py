@@ -246,6 +246,28 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds supported maximum 13" in err
 
+    def test_grid_pinned(self, capsys):
+        # every family and an unknown one, against parameters in range,
+        # out of range, not prime and past the caps: stdout and exit code
+        names = ["cycle", "path", "complete", "petersen", "hoffman_singleton",
+                 "polarity", "incidence", "mystery"]
+        params = [None, -1, 0, 1, 2, 3, 4, 5, 7, 9, 11, 12, 13, 14, 64, 65, 66]
+        h = hashlib.sha256()
+        for family in names:
+            for param in params:
+                argv = ["gen", "--family", family]
+                if param is not None:
+                    argv += ["--param", str(param)]
+                try:
+                    code, text = run(argv)
+                except SystemExit as e:  # argparse rejects the unknown family
+                    code, text = e.code, ""
+                h.update(("%s %s %d\n%s" % (family, param, code, text)).encode())
+        assert h.hexdigest() == GEN_GRID_SHA256
+
+
+# sha256 of `copwin gen` over TestGen.test_grid_pinned's grid
+GEN_GRID_SHA256 = "cb47c248be60b0545a3507f14240ec5941a7e0d2fb123fb3bcc6407536074aa7"
 
 # sha256 of `copwin trap --nmax 8` stdout: 12,113 records, one per
 # connected class on at most 8 vertices

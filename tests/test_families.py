@@ -1,10 +1,11 @@
-import math
+import io
 
 import pytest
 
+from copwin.cli import main
 from copwin.errors import UnsupportedParameterError
 from copwin.families import (
-    GraphFamily,
+    FAMILIES,
     complete,
     cycle,
     generate,
@@ -14,6 +15,7 @@ from copwin.families import (
     petersen,
     polarity,
 )
+from copwin.graph6 import emit_graph6
 from copwin.graphs import diameter, girth, is_bipartite, is_connected
 
 
@@ -77,17 +79,32 @@ class TestFiniteGeometry:
 
 class TestGenerate:
     def test_dispatch(self):
-        assert generate(GraphFamily("cycle", 5)).adj == cycle(5).adj
-        assert generate(GraphFamily("petersen")).adj == petersen().adj
-        assert generate(GraphFamily("incidence", 2)).adj == incidence(2).adj
+        assert generate("cycle", 5).adj == cycle(5).adj
+        assert generate("petersen").adj == petersen().adj
+        assert generate("incidence", 2).adj == incidence(2).adj
 
     def test_parameter_errors(self):
         with pytest.raises(UnsupportedParameterError):
-            generate(GraphFamily("petersen", 3))
+            generate("petersen", 3)
         with pytest.raises(UnsupportedParameterError):
-            generate(GraphFamily("cycle"))
+            generate("cycle")
         with pytest.raises(UnsupportedParameterError):
-            generate(GraphFamily("mystery", 1))
+            generate("mystery", 1)
+
+    def test_every_table_entry(self):
+        # one valid parameter per kind: generate builds what the
+        # constructor builds, and `copwin gen` prints it
+        valid = {"order": 5, "prime": 3, None: None}
+        for name, (build, kind) in FAMILIES.items():
+            param = valid[kind]
+            g = build() if param is None else build(param)
+            assert generate(name, param) == g, name
+            argv = ["gen", "--family", name]
+            if param is not None:
+                argv += ["--param", str(param)]
+            out = io.StringIO()
+            assert main(argv, out=out) == 0, name
+            assert out.getvalue() == emit_graph6(g) + "\n", name
 
 
 def test_polarity_diameter_two():

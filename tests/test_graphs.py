@@ -172,6 +172,27 @@ class TestSubgraphs:
         assert h.n == 4
         assert set(h.edges()) == {(0, 1), (1, 2)}
 
+    def test_induced_subgraph_rejects_vertices_off_the_graph(self):
+        # -1 once read as vertex n - 1, and n + 3 raised IndexError
+        g = path(4)
+        for verts in ([-1, 2], [1, 7], [4], []):
+            with pytest.raises(ValueError):
+                induced_subgraph(g, verts)
+
+    def test_induced_subgraph_matches_edge_list_reference(self):
+        # reference: relabel the edges inside the subset and rebuild
+        count = 0
+        for n in range(1, 7):
+            for g in connected_graph_classes(n):
+                for subset in range(1, 1 << n):
+                    verts = list(bits(subset))
+                    index = {v: i for i, v in enumerate(verts)}
+                    edges = [(index[u], index[v]) for u, v in g.edges()
+                             if u in index and v in index]
+                    assert induced_subgraph(g, verts) == Graph(len(verts), edges)
+                    count += 1
+        assert count == 7815
+
 
 class TestDismantlable:
     def test_trees(self):

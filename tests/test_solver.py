@@ -394,6 +394,19 @@ class TestRestricted:
         with pytest.raises(ValueError):
             Arena.from_edges(g, range(4), [(0, 2)])
 
+    def test_arena_rejects_one_sided_edges(self):
+        # the robber may step 0 -> 1 but not 1 -> 0: a directed arena
+        g = cycle(6)
+        adj = list(Arena.induced(g, (0, 1, 2)).adj)
+        adj[1] &= ~1
+        arena = Arena((0, 1, 2), tuple(adj))
+        with pytest.raises(ValueError):
+            arena.validate_against(g)
+        with pytest.raises(ValueError):
+            cops_win(g, GameConfig(robber_arena=arena))
+        with pytest.raises(ValueError):
+            restricted_cop_number(g, arena)
+
     def test_arena_rejects_duplicate_vertices(self):
         # a repeated vertex would carry into the next bit of the arena mask
         g = cycle(6)
