@@ -131,6 +131,9 @@ class Arena:
     @classmethod
     def from_edges(cls, g, verts, edges):
         verts = tuple(sorted(set(verts)))
+        for v in verts[:1] + verts[-1:]:
+            if not 0 <= v < g.n:
+                raise ValueError("arena vertex %d out of range or out of order" % v)
         vset = set(verts)
         adj = [0] * g.n
         for u, v in edges:

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import (
+    _children,
+    _order_and_neighbors,
     canonical_graph,
     canonical_order,
     connected_graph_classes,
     enumerate_connected,
     graph_classes,
 )
-from copwin.families import complete, cycle, path
+from copwin.families import complete, cycle, incidence, path, petersen
 from copwin.graph6 import emit_graph6
 from copwin.graphs import Graph, is_connected
 
@@ -199,3 +201,104 @@ class TestClasses:
     def test_classes_n8_pinned(self):
         text = "".join(emit_graph6(g) + "\n" for g in graph_classes(8))
         assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_CLASSES_8_SHA256
+
+
+def _is_automorphism(g, perm):
+    return all(g.adj[perm[v]] == sum(1 << perm[u] for u in g.neighbors(v)) for v in range(g.n))
+
+
+def _group_order(gens, n):
+    """Order of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    for p in todo:
+        for gen in gens:
+            q = tuple(gen[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+# |Aut(G)|: the empty graph's group comes from twin swaps alone
+AUT_ORDERS = {
+    "Petersen": (petersen(), 120),
+    "Q3": (_cube(), 48),
+    "K3,3": (_complete_multipartite(3, 3), 72),
+    "K2,2,2": (_complete_multipartite(2, 2, 2), 48),
+    "C7": (cycle(7), 14),
+    "P7": (path(7), 2),
+    "K1,2,3": (_complete_multipartite(1, 2, 3), 12),
+    "Heawood": (incidence(2), 336),
+    "empty5": (Graph(5), 120),
+}
+
+
+class TestAutomorphisms:
+    """The canonical search also yields generators of Aut(G)."""
+
+    @pytest.mark.parametrize("name", sorted(AUT_ORDERS))
+    def test_generators_span_the_group(self, name):
+        g, order = AUT_ORDERS[name]
+        gens = _order_and_neighbors(g)[2]
+        assert all(_is_automorphism(g, p) for p in gens)
+        assert _group_order(gens, g.n) == order
+
+    @given(st.integers(1, 7), st.integers(0, 1 << 21), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, n, mask, rnd):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = relabel(g, perm)
+        brute = sum(
+            _is_automorphism(g, p) for p in itertools.permutations(range(n))
+        )
+        gens = _order_and_neighbors(g)[2]
+        assert all(_is_automorphism(g, p) for p in gens)
+        assert _group_order(gens, n) == brute
+
+
+def _admissible(base):
+    """Neighbour sets S giving the new vertex minimum degree |S|."""
+    degs = base.degrees()
+    return [
+        s for s in range(1 << base.n)
+        if all(d + (s >> u & 1) >= s.bit_count() for u, d in enumerate(degs))
+    ]
+
+
+# (children tried, admissible neighbour sets) over all bases on n - 1
+CHILDREN_TOTALS = {6: (184, 348), 7: (1401, 2690), 8: (18272, 29755)}
+
+
+class TestOrbitPruning:
+    """Each base tries one child per orbit of its admissible neighbour
+    sets under Aut(base)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_child_per_orbit(self, n):
+        for base in graph_classes(n - 1):
+            auts = [
+                p for p in itertools.permutations(range(n - 1)) if _is_automorphism(base, p)
+            ]
+            orbit = {
+                s: frozenset(sum(1 << p[u] for u in range(n - 1) if s >> u & 1) for p in auts)
+                for s in _admissible(base)
+            }
+            children = list(_children(base))
+            new_bit = 1 << (n - 1)
+            assert all(
+                [m & ~new_bit for m in c.adj[:-1]] == list(base.adj) for c in children
+            )
+            tried = [orbit[c.adj[-1]] for c in children]
+            assert sorted(tried, key=sorted) == sorted(set(orbit.values()), key=sorted)
+
+    @pytest.mark.parametrize("n", sorted(CHILDREN_TOTALS))
+    def test_totals_pinned(self, n):
+        bases = graph_classes(n - 1)
+        tried = sum(1 for base in bases for _ in _children(base))
+        admissible = sum(len(_admissible(base)) for base in bases)
+        assert (tried, admissible) == CHILDREN_TOTALS[n]

@@ -394,6 +394,13 @@ class TestRestricted:
         with pytest.raises(ValueError):
             Arena.from_edges(g, range(4), [(0, 2)])
 
+    @pytest.mark.parametrize("off", [9, 4, -1])
+    def test_from_edges_checks_vertex_range_first(self, off):
+        # an off-graph vertex is the arena's range error, not an IndexError
+        # or a negative shift from building its masks
+        with pytest.raises(ValueError, match="out of range"):
+            Arena.from_edges(cycle(4), [0, off], [(0, off)])
+
     def test_arena_rejects_one_sided_edges(self):
         # the robber may step 0 -> 1 but not 1 -> 0: a directed arena
         g = cycle(6)
