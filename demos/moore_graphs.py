@@ -15,18 +15,15 @@ from copwin.graphs import diameter, girth
 from copwin.traps import trap_report
 
 
-def describe(name, g, teleport=True):
+def describe(name, g):
     print("== %s ==" % name)
     print("n=%d  degree=%s  girth=%s  diameter=%s"
           % (g.n, set(g.degrees()), girth(g), diameter(g)))
 
     t0 = time.perf_counter()
     c = cop_number(g)
-    if teleport:
-        ct = teleport_cop_number(g)
-        print("c(G)=%d  c_T(G)=%d  (%.2fs)" % (c, ct, time.perf_counter() - t0))
-    else:
-        print("c(G)=%d  (%.2fs)" % (c, time.perf_counter() - t0))
+    ct = teleport_cop_number(g)
+    print("c(G)=%d  c_T(G)=%d  (%.2fs)" % (c, ct, time.perf_counter() - t0))
     print("sqrt(n-1) = %d, so the cop number meets the Moore bound exactly"
           % math.isqrt(g.n - 1))
 
@@ -42,6 +39,7 @@ describe("5-cycle", cycle(5))
 describe("Petersen graph", petersen())
 
 # The Hoffman-Singleton graph needs no solve: girth 5 and degree 7 give
-# c >= 7 (Aigner-Fromme), and 7 cops dominate it.  Only the domination
-# number bounds c_T, so c_T would still need solves up to k = 6.
-describe("Hoffman-Singleton graph", hoffman_singleton(), teleport=False)
+# c >= 7 (Aigner-Fromme), and 7 cops dominate it.  c_T is decided by
+# covers alone: no vertex but r controls two of r's neighbours, so
+# fewer than 7 teleporting cops never win.
+describe("Hoffman-Singleton graph", hoffman_singleton())

@@ -127,8 +127,7 @@ def cmd_solve(args, out):
                                   allow_disconnected=args.allow_disconnected)
             if args.variant == "teleport":
                 rec["c_T"] = teleport_cop_number(
-                    g, budget=args.budget,
-                    allow_disconnected=args.allow_disconnected)
+                    g, allow_disconnected=args.allow_disconnected)
             rec["status"] = "ok"
         except StateBudgetError as e:
             rec["status"] = "unresolved"
@@ -184,7 +183,7 @@ def _scan_one(check, g, budget):
         return rec, "report" if c <= bound else "candidate"
     if check == "conj_teleport":
         c = cop_number(g, budget=budget)
-        ct = teleport_cop_number(g, budget=budget)
+        ct = teleport_cop_number(g)
         bound = math.isqrt(n)
         rec.update({"c": c, "c_T": ct, "bound": bound})
         if ct > bound or ct > c:
@@ -306,7 +305,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="cop numbers for a graph6 stream")
     common(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                    help="budget per solve on states and bytes kept")
+                    help="budget per solve of c on states and bytes kept")
     sp.add_argument("--timing", action="store_true")
     sp.add_argument("--allow-disconnected", action="store_true")
     sp.add_argument("--variant", choices=("standard", "teleport"),

@@ -29,8 +29,8 @@ run on whole vectors at C speed:
   at a time, after Petr, Portier and Versteegen, "A faster algorithm
   for Cops and Robbers", 2022), and the k rotations restore the order.
 
-The occupancy vector is built the same way, one cop at a time: each
-block ORs the block of k - 1 cops with its vertex bit.
+The capture mask C_0 below is built the same way, one cop at a time:
+each block ORs the block of k - 1 cops with its vertex's arena bit.
 
 A solve is sized by arithmetic before anything is built: its states,
 and the bytes of its first round (n^k * ceil(n/8) bytes per vector, two
@@ -39,11 +39,11 @@ budget.  The rounds a result keeps are held to the same budget as they
 are added, one vector each plus the R vector in flight.
 
 Winning states are the cop attractor of the capture states, computed in
-rounds over mask vectors of robber vertices.  One loop serves
-every game; each round is a robber step and a cop-move union:
+rounds over mask vectors of robber vertices.  One loop serves the
+standard game; each round is a robber step and a cop-move union:
 
-* C_0[p], the capture mask, is the set of arena vertices on which a
-  robber facing cop position p with the cops to move is already caught.
+* C_0[p], the capture mask, is the set of occupied arena vertices: a
+  cop on the robber's vertex captures, at placement and after each move.
 * R_L[p], the robber step, adds to the occupied arena vertices of p
   every arena vertex all of whose robber moves lie in C_L[p]: the
   robber to move there loses within L cop rounds.
@@ -64,17 +64,16 @@ full fields form a set closed under permuting the cops, whose
 lexicographically first tuple is sorted; cop_move tries the successor
 multisets in sorted order.
 
-The variant picks only C_0 and the cop-move union:
-
-* standard -- capture when a cop occupies the robber's vertex, checked
-  at placement and after each side's move.  The union is k cop moves.
-* teleport -- each cop may jump to any vertex except the robber's
-  current one; the robber loses as soon as his own round (or his
-  placement) ends in the closed neighbourhood of a cop.  C_0[p] is then
-  the arena part of that danger zone.  Every position that avoids the
-  robber is one jump away, so the union is the same jump mask at every
-  position: the OR of R_L[q] minus the occupied vertices of q over all
-  positions q, a per-lane OR-fold of the vector R_L & ~occupancy.
+The teleport game needs no vectors.  Each cop may jump to any vertex
+but the robber's, and the robber loses when his round (or placement)
+ends in the closed neighbourhood of a cop.  So a cops-to-move state
+depends only on the robber's vertex r, and the cops win from r within
+one more round exactly when his moves outside the won set W lie in k
+closed neighbourhoods of vertices other than r.  W grows from the empty
+set by such r, each tested with one traps._min_transversal_masks call,
+and k cops win exactly when k closed neighbourhoods cover the arena
+outside the final W (_teleport_wins, at most TRANSVERSAL_MAX_N
+vertices).
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -232,10 +231,6 @@ class _Board:
             i = vec.find(want, i + 1)
         return None if i < 0 else self.decode(i // self.nb)
 
-    def repeat(self, mask):
-        """The vector holding mask in every field, as an int."""
-        return _as_int(mask.to_bytes(self.nb, "little") * self.fields)
-
     def spread(self, masks):
         """The vector whose field (v_1, ..., v_k) is the OR of masks[v_i],
         built one cop at a time: the blocks of k - 1 cops, each ORed
@@ -300,16 +295,6 @@ class _Board:
 
         return trapped
 
-    def fold(self, x):
-        """The OR of every field of the vector x (an int)."""
-        count = self.fields
-        while count > 1:
-            half = count // 2
-            shift = 8 * self.nb * (count - half)
-            x = (x >> shift) | (x & ((1 << shift) - 1))
-            count -= half
-        return x
-
 
 @lru_cache(maxsize=None)
 def _supersets(part):
@@ -327,9 +312,10 @@ def _step_tables(nb, moves):
     carries.
 
     The cache pays where one graph is solved again with the same robber
-    moves: the teleport searches and the preceq check.  The standard
-    cop-number search seldom hits it, as it solves k = 1 on G and
-    k >= 2 on the core."""
+    moves: the preceq check, and the restricted searches over one
+    arena.  The standard cop-number search seldom hits it, as it solves
+    k = 1 on G and k >= 2 on the core; the teleport game builds no
+    vectors."""
     return tuple(
         tuple(
             sum(
@@ -378,11 +364,6 @@ class SolveResult:
         )
         self.cops_win = self.best_position is not None
 
-    @property
-    def positions(self):
-        """Every cop position, as sorted tuples in lexicographic order."""
-        return tuple(combinations_with_replacement(range(self.g.n), self.cfg.k))
-
     def _round(self, pos, mask):
         """The least round L whose C_L holds every robber vertex of mask
         at cop position pos, or None."""
@@ -420,15 +401,12 @@ class SolveResult:
         """The cops' reply in a cops-to-move state they win in L >= 1
         rounds: the successor position whose robber-to-move state has
         the least level (L - 1, never less, by optimality), the first in
-        sorted order on ties.  In the standard game the successors of pos
-        are built here, for pos alone."""
+        sorted order on ties.  The successors of pos are built here, for
+        pos alone."""
         lv = self.level_of(pos, r, "cops")
         if lv == 0:
             raise KeyError("(%r, %r) is already a capture" % (pos, r))
-        if self.cfg.variant == "teleport":
-            succ = (t for t in self.positions if r not in t)
-        else:
-            succ = _team_moves(self.g, pos)
+        succ = _team_moves(self.g, pos)
         return next(t for t in succ if self._level(t, r, "robber") == lv - 1)
 
     def robber_move(self, pos, r):
@@ -488,8 +466,18 @@ def _team_moves(g, t):
     return sorted({tuple(sorted(c)) for c in product(*[bits(g.closed_mask(v)) for v in t])})
 
 
+def _robber_moves(g, cfg):
+    """The validated arena of cfg on g, and each arena vertex's robber
+    move mask: its arena neighbours, and itself when he may pass."""
+    arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
+    arena.validate_against(g)
+    stay = cfg.robber_may_pass
+    return arena, {r: arena.adj[r] | (1 << r if stay else 0) for r in arena.vertices}
+
+
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
-    """Solve one instance exactly; returns a SolveResult.
+    """Solve one instance of the standard game exactly; returns a
+    SolveResult.  _teleport_wins decides the teleport game.
 
     Placement semantics: cops pick any position first; the robber, seeing
     it, picks his best arena vertex; play then alternates cops-first.
@@ -498,44 +486,44 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
         raise DisconnectedGraphError(
             "graph is disconnected (pass allow_disconnected to solve anyway)"
         )
-    arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
-    arena.validate_against(g)
+    if cfg.variant != "standard":
+        raise ValueError("cops_win plays the standard game, not %r" % cfg.variant)
+    arena, rob_moves = _robber_moves(g, cfg)
     board = _sized_board(g, cfg.k, len(arena.vertices) * 2, 2, budget)
-    amask = sum(1 << v for v in arena.vertices)
-    rob_moves = {
-        r: arena.adj[r] | (1 << r if cfg.robber_may_pass else 0)
-        for r in arena.vertices
-    }
     trapped = board.robber_step(rob_moves.items())
-    arena_rep = board.repeat(amask)
-    occ = _as_int(board.spread([1 << v for v in range(g.n)]))
-    caught = occ & arena_rep
-
-    if cfg.variant == "teleport":
-        # standing on a cop or next to one is capture
-        cop = _as_int(board.spread([g.closed_mask(v) for v in range(g.n)])) & arena_rep
-
-        def moves(rob):  # cops jump to any position avoiding the robber
-            return board.repeat(board.fold(_as_int(rob) & ~occ))
-    else:
-        cop = caught
-        del occ  # only the teleport jump reads it after set-up
-
-        def moves(rob):
-            return _as_int(board.union(rob))
-
-    del arena_rep  # the round loop holds only vectors it reads
+    amask = sum(1 << v for v in arena.vertices)
+    # a robber on a cop is caught: the occupied arena vertices
+    caught = cop = _as_int(board.spread([(1 << v) & amask for v in range(g.n)]))
     rounds = []
     while True:
         rounds.append(cop.to_bytes(board.size, "little"))
         _keep(board.size * (len(rounds) + 1), budget)  # and R_L in flight
         # a robber to move loses where caught or where every move is
         rob = (caught | _as_int(trapped(rounds[-1]))).to_bytes(board.size, "little")
-        nxt = cop | moves(rob)
+        nxt = cop | _as_int(board.union(rob))
         if nxt == cop:
             break
         cop = nxt
     return SolveResult(g, cfg, board, arena.vertices, rob_moves, rounds)
+
+
+def _teleport_wins(g, cfg):
+    """Whether cfg.k teleporting cops win on g: the fixpoint of covers
+    of the module docstring, W the robber vertices won so far."""
+    arena, rob_moves = _robber_moves(g, cfg)
+
+    def covered(mask, avoid):
+        # k closed neighbourhoods of vertices outside avoid cover mask
+        edges = [g.closed_mask(u) & ~avoid for u in bits(mask)]
+        return 0 not in edges and _min_transversal_masks(g.n, edges, cfg.k)[0] <= cfg.k
+
+    won, last = 0, None
+    while won != last:
+        last = won
+        for r, moves in rob_moves.items():
+            if not won >> r & 1 and covered(moves & ~won, 1 << r):
+                won |= 1 << r
+    return covered(sum(1 << v for v in arena.vertices) & ~won, 0)
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
@@ -585,7 +573,7 @@ def _bounds(g, template):
     return lb, ub, h
 
 
-def _least_winning_k(g, template, budget, max_k=None):
+def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
     """The one cop-count search: least k for which k cops win the game
     template (its k is ignored) on g, which is connected unless the game
     is teleport.  Only k in [LB, UB) is solved, on the core if any;
@@ -599,8 +587,10 @@ def _least_winning_k(g, template, budget, max_k=None):
     top = max_k if max_k is not None else g.n
 
     def wins(k, on):
+        if template.variant == "teleport":
+            return _teleport_wins(on, replace(template, k=k))
         try:
-            # callers check connectivity; a disconnected g is a teleport game
+            # callers check connectivity
             return cops_win(
                 on, replace(template, k=k), budget=budget, allow_disconnected=True
             ).cops_win
@@ -666,8 +656,9 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
     return best
 
 
-def teleport_cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
-    """c_T(G): least number of teleporting cops that win.
+def teleport_cop_number(g, allow_disconnected=False):
+    """c_T(G): least number of teleporting cops that win.  Above
+    TRANSVERSAL_MAX_N vertices the transversal solver raises ValueError.
 
     Teleporting cops jump between components, so for a disconnected
     graph (with allow_disconnected) c_T is searched on the whole graph:
@@ -676,7 +667,7 @@ def teleport_cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False
         raise DisconnectedGraphError(
             "cop number of a disconnected graph needs allow_disconnected"
         )
-    return _least_winning_k(g, GameConfig(variant="teleport"), budget)
+    return _least_winning_k(g, GameConfig(variant="teleport"))
 
 
 def _preceq_level(g, k, i, budget):

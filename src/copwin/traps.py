@@ -112,11 +112,13 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     so the first descent is never pruned and finds the first cover.
 
     floor is a lower bound on the answer known to the caller: the first
-    cover of at most floor vertices ends the search.  It must not exceed
-    the true minimum, as solver._bounds guarantees (LB <= c <= gamma):
-    above it, the search may stop at a cover larger than the one the
-    exits below return.  With max_nodes, the search gives up and returns
-    None after that many inner nodes.
+    cover of at most floor vertices ends the search.  For an exact
+    minimum it must not exceed the true minimum, as solver._bounds
+    guarantees (LB <= c <= gamma): above it, the search may stop at a
+    cover larger than the one the exits below return, but of at most
+    floor vertices when one exists: all solver._teleport_wins asks.  With
+    max_nodes, the search gives up and returns None after that many
+    inner nodes.
 
     Two exits answer without search, each with the cover the search
     finds first, so the witness is the search's own.  One vertex: when

@@ -39,6 +39,11 @@ def bad_file(tmp_path):
     return str(p)
 
 
+# sha256 of `copwin solve --variant teleport --nmax 8` stdout: 12,113
+# records, one per connected class on at most 8 vertices, each with c and c_T
+SOLVE_TELEPORT_NMAX8_SHA256 = "0dd6395490f158ca08d4a89c52cad578e74cc21051fc054c0d946b7cec7da8c5"
+
+
 class TestSolve:
     def test_file_input(self, petersen_file):
         code, text = run(["solve", "--input", petersen_file])
@@ -86,6 +91,21 @@ class TestSolve:
         code, text = run(["solve", "--budget", "2000000", "--input", str(p)])
         assert code == EXIT_OK
         assert "c=7" in text and "status=ok" in text
+
+    def test_hoffman_singleton_teleport_ignores_budget(self, tmp_path, hoffman_singleton_graph):
+        # --budget bounds the solves of c; c_T needs no state vectors
+        p = tmp_path / "hs.g6"
+        p.write_text(emit_graph6(hoffman_singleton_graph) + "\n")
+        code, text = run(["solve", "--budget", "2000000", "--variant", "teleport",
+                          "--input", str(p)])
+        assert code == EXIT_OK
+        assert "c=7 c_T=7 status=ok" in text
+
+    def test_teleport_report_n8_pinned(self):
+        code, text = run(["solve", "--variant", "teleport", "--nmax", "8"])
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 12113
+        assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_TELEPORT_NMAX8_SHA256
 
     def test_disconnected_teleport_not_summed(self, tmp_path):
         # 2K2: the standard c sums its components, but one teleporting

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -56,7 +57,7 @@ class TestFixpointOutcome:
                 # with the robber to move
                 assert preceq(g, k, n * n) == {
                     (x, p)
-                    for p in res.positions
+                    for p in combinations_with_replacement(range(n), k)
                     for x in range(n)
                     if res.is_cop_win(p, x, "robber")
                 }

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin import solver
-from copwin.enumeration import connected_graph_classes
+from copwin.enumeration import connected_graph_classes, graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
-from copwin.graphs import Graph, bits, core, induced_subgraph, is_dismantlable
+from copwin.graphs import Graph, bits, core, girth, induced_subgraph, is_dismantlable
 from copwin.solver import (
     Arena,
     GameConfig,
     _Board,
     _bounds,
     _team_moves,
+    _teleport_wins,
     c_G_of_m,
     cop_number,
     cops_win,
@@ -55,8 +56,7 @@ class TestCopNumber:
         # and K3+K2, though each component alone needs one
         for g in (Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
             assert teleport_cop_number(g, allow_disconnected=True) == 1
-            cfg = GameConfig(k=1, variant="teleport")
-            assert cops_win(g, cfg, allow_disconnected=True).cops_win
+            assert _teleport_wins(g, GameConfig(k=1, variant="teleport"))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(connected_graph_classes(6)))
@@ -112,9 +112,14 @@ class TestCopNumber:
 
 
 def _least_winning_k(g, **cfg):
-    """Least k with cops_win true, solving every k from 1."""
+    """Least k whose game the cops win, deciding every k from 1."""
+    def wins(game):
+        if game.variant == "teleport":
+            return _teleport_wins(g, game)
+        return cops_win(g, game).cops_win
+
     k = 1
-    while not cops_win(g, GameConfig(k=k, **cfg)).cops_win:
+    while not wins(GameConfig(k=k, **cfg)):
         k += 1
     return k
 
@@ -192,21 +197,16 @@ class TestGameSemantics:
                 break
         assert r in pos
 
-    @pytest.mark.parametrize("cfg", [
-        {},
-        {"robber_may_pass": False},
-        {"variant": "teleport"},
-    ], ids=["standard", "no_pass", "teleport"])
+    @pytest.mark.parametrize("cfg", [{}, {"robber_may_pass": False}], ids=["standard", "no_pass"])
     def test_replies_on_every_state(self, cfg):
         # every connected class n <= 6, k <= 2: each cop reply lowers the
-        # level by one (and under teleport avoids the robber); each
-        # robber reply is legal, stays robber-win when it can, and else
-        # takes a move of maximum level
+        # level by one; each robber reply is legal, stays robber-win when
+        # it can, and else takes a move of maximum level
         for n in range(1, 7):
             for g in connected_graph_classes(n):
                 for k in (1, 2):
                     res = cops_win(g, GameConfig(k=k, **cfg))
-                    for pos in res.positions:
+                    for pos in combinations_with_replacement(range(n), k):
                         for r in range(n):
                             self._check_replies(g, res, pos, r)
 
@@ -217,8 +217,6 @@ class TestGameSemantics:
             if lv >= 1:
                 nxt = res.cop_move(pos, r)
                 assert res.level_of(nxt, r, "robber") == lv - 1
-                if res.cfg.variant == "teleport":
-                    assert r not in nxt
         moves = [r] if res.cfg.robber_may_pass else []
         moves += g.neighbors(r)
         escapes = [r2 for r2 in moves if not res.is_cop_win(pos, r2, "cops")]
@@ -294,22 +292,31 @@ def _oracle_rounds(g, cfg):
         cop = nxt
 
 
+def _random_arena(g, rng):
+    """A seeded arena from edges: random vertices, each edge of G among
+    them kept with probability 0.8."""
+    verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+    edges = [(u, v) for u, v in combinations(verts, 2) if g.has_edge(u, v) and rng.random() < 0.8]
+    return Arena.from_edges(g, verts, edges)
+
+
 def _decoded_rounds(res):
     """The (C_L, R_L) rounds of a SolveResult at each position in
     sorted-multiset order: C_L decoded from the kept vectors, R_L read
     back through level_of on the robber side at every arena vertex."""
     board = res._board
+    positions = list(combinations_with_replacement(range(res.g.n), res.cfg.k))
     levels = {
         (t, r): res.level_of(t, r, "robber")
-        for t in res.positions
+        for t in positions
         for r in res.arena_vertices
         if res.is_cop_win(t, r, "robber")
     }
     return [
         (
-            [board.read(vec, board.field(t)) for t in res.positions],
+            [board.read(vec, board.field(t)) for t in positions],
             [_or_all(1 << r for r in res.arena_vertices if levels.get((t, r), math.inf) <= lv)
-             for t in res.positions],
+             for t in positions],
         )
         for lv, vec in enumerate(res._rounds)
     ]
@@ -344,25 +351,29 @@ class TestLayeredMoves:
 
     def test_teleport_and_arena_rounds_match_product_table(self, petersen_graph):
         # byte rounds with two lanes (Petersen, n = 10) and with one:
-        # teleport solves, and seeded restricted arenas with and without
-        # a passing robber, against the product-table oracle
-        cases = [(petersen_graph, GameConfig(k=k, variant="teleport")) for k in (1, 2, 3)]
+        # seeded restricted arenas with and without a passing robber,
+        # against the product-table oracle
         rng = random.Random(11)
         for g in (petersen_graph,) + connected_graph_classes(6)[::7]:
             for k in (1, 2):
-                verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
-                edges = [
-                    (u, v) for u, v in combinations(verts, 2)
-                    if g.has_edge(u, v) and rng.random() < 0.8
-                ]
-                arena = Arena.from_edges(g, verts, edges)
-                cases.append((g, GameConfig(k=k, robber_arena=arena,
-                                            robber_may_pass=rng.random() < 0.5)))
-                cases.append((g, GameConfig(k=k, variant="teleport", robber_arena=arena)))
-        for g, cfg in cases:
-            res = cops_win(g, cfg)
-            want = [tuple(pair) for pair in _oracle_rounds(g, cfg)]
-            assert _decoded_rounds(res) == want, (g, cfg)
+                arena = _random_arena(g, rng)
+                cfg = GameConfig(k=k, robber_arena=arena, robber_may_pass=rng.random() < 0.5)
+                want = [tuple(pair) for pair in _oracle_rounds(g, cfg)]
+                assert _decoded_rounds(cops_win(g, cfg)) == want, (g, cfg)
+        # teleport verdicts on every class n <= 7, disconnected ones too,
+        # and Petersen; k <= 3, a passing and a no-pass robber, and the
+        # full arena, a seeded induced one and a seeded one from edges:
+        # the fixpoint of covers decides as the oracle's rounds do
+        graphs = [g for n in range(1, 8) for g in graph_classes(n)] + [petersen_graph]
+        for g in graphs:
+            verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            for arena in (None, Arena.induced(g, verts), _random_arena(g, rng)):
+                for k, passing in product((1, 2, 3), (True, False)):
+                    cfg = GameConfig(k=k, variant="teleport", robber_may_pass=passing,
+                                     robber_arena=arena)
+                    full = sum(1 << v for v in (arena or Arena.full(g)).vertices)
+                    want = full in _oracle_rounds(g, cfg)[-1][0]
+                    assert _teleport_wins(g, cfg) == want, (g, cfg)
 
 
 class TestRestricted:
@@ -470,7 +481,24 @@ class TestTeleport:
         # zone occupancy plus N(c), which is N[c], so the open and the
         # closed reading are one game
         g = Graph(2, [(0, 1)])
-        assert cops_win(g, GameConfig(k=1, variant="teleport")).cops_win
+        assert _teleport_wins(g, GameConfig(k=1, variant="teleport"))
+
+    def test_degree_on_regular_girth_five(
+        self, petersen_graph, heawood_graph, hoffman_singleton_graph
+    ):
+        # On a d-regular graph of girth >= 5 no vertex other than r
+        # controls two of r's neighbours, so every robber vertex needs d
+        # teleporting cops: below k = d nothing is won before placement,
+        # and c_T = min(d, gamma).  gamma >= ceil(n / (d + 1)) >= d on
+        # these four graphs, so c_T = d.
+        for g in (petersen_graph, heawood_graph, incidence(3), hoffman_singleton_graph):
+            (d,) = set(g.degrees())
+            assert girth(g) >= 5 and -(-g.n // (d + 1)) >= d
+            assert teleport_cop_number(g) == d, g.n
+
+    def test_cops_win_refuses_teleport(self):
+        with pytest.raises(ValueError):
+            cops_win(cycle(4), GameConfig(k=2, variant="teleport"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
