@@ -108,6 +108,13 @@ def _read_input(args, out, found):
                 yield g
 
 
+def _check_at_least(flag, value, least):
+    """A usage error, raised before anything is written, when an integer
+    flag that was given is below its least value."""
+    if value is not None and value < least:
+        raise ValueError("%s must be at least %d, got %d" % (flag, least, value))
+
+
 def _exit_code(found):
     """The exit code of a run whose records added these codes to found:
     a violation wins over resource exhaustion, which wins over bad input."""
@@ -118,6 +125,8 @@ def _exit_code(found):
 
 
 def cmd_solve(args, out):
+    _check_at_least("--budget", args.budget, 1)
+    _check_at_least("--max-k", args.max_k, 1)
     found = set()
     for g in _graphs(args, out, found):
         rec = {"graph": emit_graph6(g), "n": g.n}
@@ -203,6 +212,7 @@ def _scan_one(check, g, budget):
 
 
 def cmd_scan(args, out):
+    _check_at_least("--budget", args.budget, 1)
     check = args.check
     found = set()
     graphs = _graphs(args, out, found)
@@ -275,8 +285,7 @@ def cmd_ineq(args, out):
 
 
 def cmd_simulate(args, out):
-    if args.max_rounds is not None and args.max_rounds < 0:
-        raise ValueError("--max-rounds must be at least 0, got %d" % args.max_rounds)
+    _check_at_least("--max-rounds", args.max_rounds, 0)
     found = set()
     for g in _graphs(args, out, found):
         if not theorem1_applies(g):

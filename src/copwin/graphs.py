@@ -5,8 +5,9 @@ graphs well beyond 64 vertices work without a separate representation;
 the 64-vertex figure only appears as the default parser cap in graph6.
 
 One breadth-first walk, ``layers``, yields the distance layers from a
-source as bitmasks; reachability, distances, diameter, bipartiteness and
-girth are each a few lines on top of it.
+source as bitmasks; reachability, distances, bipartiteness and girth are
+each a few lines on top of it.  ``diameter`` walks from every source, so
+it inlines the same walk rather than resume a generator once a layer.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def bits(mask):
 
 def layers(g, src):
     """The BFS layers from src as bitmasks: {src}, then the vertices at
-    distance 1, 2, ... from it; every distance question below reads them."""
+    distance 1, 2, ... from it; the distance questions below read them,
+    all but diameter, which inlines the walk."""
     adj = g.adj
     seen = frontier = 1 << src
     while frontier:
@@ -116,18 +118,33 @@ def bfs_distances(g, src):
 
 
 def diameter(g):
-    """Max shortest-path distance over vertex pairs; math.inf if disconnected."""
+    """Max shortest-path distance over vertex pairs; math.inf if disconnected.
+
+    From each source s, the bitmask walk of ``layers`` runs until it has
+    reached every vertex, counting the layers after {s}; a frontier that
+    empties first means g is disconnected, and math.inf is returned at
+    once.
+    """
+    adj = g.adj
     full = (1 << g.n) - 1
     best = 0
-    for v in range(g.n):
-        reached = 0
-        depth = -1
-        for layer in layers(g, v):
-            reached |= layer
+    for s in range(g.n):
+        seen = frontier = 1 << s
+        depth = 0
+        while seen != full:
+            new = 0
+            m = frontier
+            while m:
+                low = m & -m
+                new |= adj[low.bit_length() - 1]
+                m ^= low
+            frontier = new & ~seen
+            if not frontier:
+                return math.inf
+            seen |= frontier
             depth += 1
-        if reached != full:
-            return math.inf
-        best = max(best, depth)
+        if depth > best:
+            best = depth
     return best
 
 

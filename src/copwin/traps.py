@@ -6,9 +6,11 @@ to it).  The per-vertex trap threshold is computed as an exact minimum
 hitting set of the hypergraph whose edges are the closed neighbourhoods
 of v's neighbours, with v itself excluded.  Nearly all thresholds of
 small graphs are 1 or 2 (93,338 of the 95,717 over the connected classes
-n <= 8), and the transversal solver answers those two sizes without
-search, with the cover its branch and bound would find first; larger
-covers go through the branch and bound.
+n <= 8).  A threshold needs no witness, so trap_threshold answers sizes
+0, 1 and 2 in place from ANDs of the edges; larger covers go to the
+transversal solver.  That solver answers covers of one or two vertices
+without search too, with the cover its branch and bound would find
+first, for the callers that need a witness.
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -208,18 +210,50 @@ def chvatal_bound(h):
 
 
 def trap_threshold(g, v):
-    """Minimum cop count on G - {v} controlling all neighbours of v."""
+    """Minimum cop count on G - {v} controlling all neighbours of v.
+
+    The edges are the closed neighbourhoods of v's neighbours, v removed.
+    Sizes 0, 1 and 2 are answered in place, with no witness: 0 when v
+    has no neighbours; 1 when the AND of all the edges is nonzero; 2
+    when, for some x of the first edge, the AND of the edges that miss x
+    is nonzero (every cover hits the first edge, so a cover {x, y} has
+    its x there and its y in that AND).  Larger covers go to the
+    transversal solver.
+    """
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
-    # closed neighbourhoods of v's neighbours, v removed; each still
-    # holds its own u, so none is empty
+    if g.n > TRANSVERSAL_MAX_N:  # v's edges, under n, fit the edge cap
+        raise ValueError(
+            "transversal solver capped at n <= %d, m <= %d"
+            % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
+        )
+    # each edge still holds its own u, so none is empty
     adj = g.adj
     drop = ~(1 << v)
     edges = []
+    shared = -1
     m = adj[v]
     while m:
         low = m & -m
-        edges.append((adj[low.bit_length() - 1] | low) & drop)
+        e = (adj[low.bit_length() - 1] | low) & drop
+        edges.append(e)
+        shared &= e
+        m ^= low
+    if not edges:
+        return 0
+    if shared:
+        return 1
+    # no vertex hits every edge, so each x leaves some edge, and rest is
+    # the AND of one or more edges
+    m = edges[0]
+    while m:
+        low = m & -m
+        rest = -1
+        for e in edges:
+            if not e & low:
+                rest &= e
+        if rest:
+            return 2
         m ^= low
     return _min_transversal_masks(g.n, edges)[0]
 

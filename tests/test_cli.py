@@ -162,6 +162,20 @@ def test_nmax_below_one_exits_usage(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--budget", "-5"], ["solve", "--budget", "0"],
+    ["solve", "--max-k", "0"], ["solve", "--max-k", "-1"],
+    ["scan", "--check", "theorem1", "--budget", "-5"],
+    ["scan", "--check", "lemma5", "--budget", "0"],
+])
+def test_budget_or_max_k_below_one_exits_usage(argv, capsys):
+    # once every record read status=unresolved (exit 3) or status=error
+    code, text = run(argv + ["--nmax", "3"])
+    assert code == EXIT_USAGE
+    assert text == ""  # not even the scan header
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_resource_exit_wins_over_bad_input(bad_file):
     code, text = run(["solve", "--budget", "10", "--input", bad_file])
     assert "status=parse_error" in text and "status=unresolved" in text

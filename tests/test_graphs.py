@@ -112,6 +112,13 @@ class TestMetrics:
     def test_diameter_infinite_iff_disconnected(self, g):
         assert (diameter(g) == math.inf) == (not is_connected(g))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graph_strategy(10), sparse_graph_strategy(10)))
+    def test_diameter_is_largest_floyd_warshall_distance(self, g):
+        # math.inf, as Floyd-Warshall reads it, when g is disconnected
+        dist = floyd_warshall(g.n, g.edges())
+        assert diameter(g) == max(max(row) for row in dist)
+
     def test_bipartite(self, heawood_graph):
         assert is_bipartite(cycle(4))
         assert not is_bipartite(cycle(5))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from copwin.enumeration import connected_graph_classes
 from copwin.families import complete, cycle, path, petersen
 from copwin.graphs import Graph
 from copwin.traps import (
+    TRANSVERSAL_MAX_N,
     Hypergraph,
     _min_transversal_masks,
     check_lemma4,
@@ -178,18 +180,34 @@ class TestTrapThreshold:
 
     def test_mask_kernel_matches_hypergraph_route(self):
         # the threshold built as edge masks against the hypergraph of
-        # closed-neighbourhood frozensets minus v, and against brute force
-        for n in range(1, 7):
-            for g in connected_graph_classes(n):
-                for v in range(n):
-                    edges = [
-                        frozenset(w for w in range(n) if g.closed_mask(u) >> w & 1)
-                        - {v}
-                        for u in g.neighbors(v)
-                    ]
-                    h = Hypergraph(n, edges)
-                    want = min_transversal(h)[0]
-                    assert trap_threshold(g, v) == want == brute_transversal(h)
+        # closed-neighbourhood frozensets minus v, and against brute force:
+        # every connected class n <= 7, then seeded random graphs n <= 11,
+        # dense enough for thresholds of 3 and more
+        rng = random.Random(11)
+        graphs = [g for n in range(1, 8) for g in connected_graph_classes(n)]
+        for _ in range(150):
+            n = rng.randint(8, 11)
+            p = rng.choice((0.3, 0.5, 0.7))
+            graphs.append(Graph(n, [(u, w) for w in range(n) for u in range(w) if rng.random() < p]))
+        sizes = Counter()
+        for g in graphs:
+            for v in range(g.n):
+                edges = [
+                    frozenset(w for w in range(g.n) if g.closed_mask(u) >> w & 1)
+                    - {v}
+                    for u in g.neighbors(v)
+                ]
+                h = Hypergraph(g.n, edges)
+                want = min_transversal(h)[0]
+                assert trap_threshold(g, v) == want == brute_transversal(h)
+                sizes[want] += 1
+        assert all(sizes[t] for t in range(5))
+
+    def test_refuses_graphs_over_the_cap(self):
+        # the cap of the transversal solver, even where no search is needed
+        g = Graph(TRANSVERSAL_MAX_N + 1, [(0, 1)])
+        with pytest.raises(ValueError):
+            trap_threshold(g, 2)
 
 
 class TestTrapPredicates:
