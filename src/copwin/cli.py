@@ -13,7 +13,8 @@ command that reads graphs (solve, scan, trap, simulate) decides its code
 by one rule: a line that fails to parse is reported in stream order and
 exits 2, as does a solve record with status=error; an unresolved
 (budget-capped) record exits 3; a theorem violation exits 1; and 1 wins
-over 3, which wins over 2.
+over 3, which wins over 2.  A reader that closes stdout early ends the
+run quietly, with the code of the records already written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -79,8 +81,8 @@ def _fmt_diameter(d):
 def _graphs(args, out, found):
     """The graphs a stream command reads: the --input file, or the
     connected classes up to --nmax (default 6, in 1..SCAN_MAX_N).  The
-    flags are checked here, before the command writes anything; --nmax
-    and --input cannot be used together.
+    flags are checked and the file is opened here, before the command
+    writes anything; --nmax and --input cannot be used together.
 
     A line that fails to parse is emitted as a parse_error record in
     stream order, adds EXIT_USAGE to found, and the stream goes on."""
@@ -91,18 +93,18 @@ def _graphs(args, out, found):
             raise ValueError("--nmax %d out of range for this command (1..%d)"
                              % (args.nmax, SCAN_MAX_N))
     if args.input:
-        return _read_input(args, out, found)
+        return _read_input(open(args.input), args.json, out, found)
     nmax = 6 if args.nmax is None else args.nmax
     return (g for n in range(1, nmax + 1) for g in connected_graph_classes(n))
 
 
-def _read_input(args, out, found):
-    """Yield the graphs of the --input file; each bad line becomes a
-    parse_error record."""
-    with open(args.input) as fh:
+def _read_input(fh, as_json, out, found):
+    """Yield the graphs of an open graph6 file, then close it; each bad
+    line becomes a parse_error record."""
+    with fh:
         for lineno, g in read_graph6_lines(fh):
             if isinstance(g, Graph6Error):
-                _emit(out, {"line": lineno, "status": "parse_error", "error": str(g)}, args.json)
+                _emit(out, {"line": lineno, "status": "parse_error", "error": str(g)}, as_json)
                 found.add(EXIT_USAGE)
             else:
                 yield g
@@ -124,10 +126,9 @@ def _exit_code(found):
     return EXIT_OK
 
 
-def cmd_solve(args, out):
+def cmd_solve(args, out, found):
     _check_at_least("--budget", args.budget, 1)
     _check_at_least("--max-k", args.max_k, 1)
-    found = set()
     for g in _graphs(args, out, found):
         rec = {"graph": emit_graph6(g), "n": g.n}
         t0 = time.perf_counter()
@@ -150,7 +151,6 @@ def cmd_solve(args, out):
         if args.timing:
             rec["time"] = "%.3f" % (time.perf_counter() - t0)
         _emit(out, rec, args.json)
-    return _exit_code(found)
 
 
 def _scan_filter(check, g):
@@ -211,10 +211,9 @@ def _scan_one(check, g, budget):
     raise ValueError("unknown check %r" % check)
 
 
-def cmd_scan(args, out):
+def cmd_scan(args, out, found):
     _check_at_least("--budget", args.budget, 1)
     check = args.check
-    found = set()
     graphs = _graphs(args, out, found)
     header = {"check": check, "seed": args.seed}
     if args.nmax is not None:
@@ -235,33 +234,30 @@ def cmd_scan(args, out):
         verdicts[verdict] += 1
         if args.all or verdict not in ("pass", "report"):
             _emit(out, rec, args.json)
+        if verdict == "fail":
+            found.add(EXIT_VIOLATION)
+        elif verdict == "unresolved":
+            found.add(EXIT_RESOURCE)  # budget-capped solves are failures, not skips
     _summary(out, check, {
         "checked": sum(verdicts.values()),
         "violations": verdicts["fail"],
         "candidates": verdicts["candidate"],
         "unresolved": verdicts["unresolved"],
     }, args.json)
-    if verdicts["fail"]:
-        found.add(EXIT_VIOLATION)
-    if verdicts["unresolved"]:
-        found.add(EXIT_RESOURCE)  # budget-capped solves are failures, not skips
-    return _exit_code(found)
 
 
-def cmd_gen(args, out):
+def cmd_gen(args, out, found):
     # a family whose parameter is the order: check the cap before the
     # O(n^2)-bit rows are built
     if FAMILIES[args.family][1] == "order" and (args.param or 0) > DEFAULT_MAX_N:
         raise ValueError("graph order %d exceeds cap %d" % (args.param, DEFAULT_MAX_N))
     g = generate(args.family, args.param)
     out.write(emit_graph6(g) + "\n")  # under the cap every reader applies
-    return EXIT_OK
 
 
-def cmd_trap(args, out):
+def cmd_trap(args, out, found):
     if args.alpha is not None and not 0 <= args.alpha < math.inf:
         raise ValueError("--alpha must be finite and nonnegative, got %r" % args.alpha)
-    found = set()
     for g in _graphs(args, out, found):
         alpha = args.alpha if args.alpha is not None else float(math.isqrt(g.n))
         thresholds, count = trap_report(g, alpha)
@@ -273,20 +269,18 @@ def cmd_trap(args, out):
             "alpha_traps": count,
         }
         _emit(out, rec, args.json)
-    return _exit_code(found)
 
 
-def cmd_ineq(args, out):
+def cmd_ineq(args, out, found):
     bad = verify_key_inequality(args.mmax)
     for m in bad:
         _emit(out, {"m": m, "verdict": "fail"}, args.json)
+        found.add(EXIT_VIOLATION)
     _summary(out, "ineq", {"mmax": args.mmax, "violations": len(bad)}, args.json)
-    return EXIT_VIOLATION if bad else EXIT_OK
 
 
-def cmd_simulate(args, out):
+def cmd_simulate(args, out, found):
     _check_at_least("--max-rounds", args.max_rounds, 0)
-    found = set()
     for g in _graphs(args, out, found):
         if not theorem1_applies(g):
             continue  # the plan exists only under theorem 1's hypothesis
@@ -295,7 +289,6 @@ def cmd_simulate(args, out):
                          max_rounds=args.max_rounds)
         out.write("graph %s cops=%d\n" % (emit_graph6(g), plan.total_cops))
         out.write(format_trace(trace))
-    return _exit_code(found)
 
 
 def build_parser():
@@ -360,14 +353,22 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    found = set()
     try:
-        return args.func(args, out)
+        args.func(args, out, found)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has all it wants; the flush at interpreter exit
+        # would fail again, so stdout goes to the null device
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     except StateBudgetError as e:
         print("resource error: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE
     except (CopwinError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    return _exit_code(found)
 
 
 if __name__ == "__main__":

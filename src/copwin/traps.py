@@ -4,13 +4,10 @@ A vertex v is an s-trap when floor(s) cops placed on G - {v} control
 every neighbour of v (a cop controls a vertex by sitting on it or next
 to it).  The per-vertex trap threshold is computed as an exact minimum
 hitting set of the hypergraph whose edges are the closed neighbourhoods
-of v's neighbours, with v itself excluded.  Nearly all thresholds of
-small graphs are 1 or 2 (93,338 of the 95,717 over the connected classes
-n <= 8).  A threshold needs no witness, so trap_threshold answers sizes
-0, 1 and 2 in place from ANDs of the edges; larger covers go to the
-transversal solver.  That solver answers covers of one or two vertices
-without search too, with the cover its branch and bound would find
-first, for the callers that need a witness.
+of v's neighbours, with v itself excluded, by the one transversal
+solver.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of
+the 95,717 over the connected classes n <= 8), and the solver answers
+covers of up to two vertices from ANDs of the edges, without search.
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -116,33 +113,44 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     floor is a lower bound on the answer known to the caller: the first
     cover of at most floor vertices ends the search.  For an exact
     minimum it must not exceed the true minimum, as solver._bounds
-    guarantees (LB <= c <= gamma): above it, the search may stop at a
-    cover larger than the one the exits below return, but of at most
-    floor vertices when one exists: all solver._teleport_wins asks.  With
+    guarantees (LB <= c <= gamma); above it, the search may stop at a
+    larger cover, but of at most floor vertices when one exists: all
+    solver._teleport_wins asks.  With
     max_nodes, the search gives up and returns None after that many
     inner nodes.
 
-    Two exits answer without search, each with the cover the search
-    finds first, so the witness is the search's own.  One vertex: when
-    every edge shares a vertex, the least shared vertex.  Two vertices:
-    every cover hits the first pivot, so walk its vertices x in the
-    search's order (most edges hit, then least label) and AND the edges
-    x misses; at the first x where that AND is nonzero, the answer is x
-    and the least vertex of the AND.  Under x the search's next pivot is
-    one of those edges, and a vertex shared by all of them hits every
-    remaining edge and so sorts first, the least label among them
-    leading.  Covers of three or more vertices still need the search.
+    One exit rule answers covers of up to two vertices without search,
+    on the edges as given.  No edges: size 0.  One vertex: when the AND
+    of all edges is nonzero, its least vertex.  Two vertices: every
+    cover hits the first edge, so walk its vertices x in label order and
+    AND the edges x misses; at the first x where that AND is nonzero,
+    the answer is x and the least vertex of the AND.  Covers of three or
+    more vertices need the search.
     """
     if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
             "transversal solver capped at n <= %d, m <= %d"
             % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
         )
+    if not edge_masks:
+        return 0, []
     shared = -1
     for e in edge_masks:
         shared &= e
-    if edge_masks and shared:
+    if shared:
         return 1, [(shared & -shared).bit_length() - 1]
+    # no vertex hits every edge, so each x leaves some edge, and rest is
+    # the AND of one or more edges
+    m = edge_masks[0]
+    while m:
+        low = m & -m
+        rest = -1
+        for e in edge_masks:
+            if not e & low:
+                rest &= e
+        if rest:
+            return 2, [low.bit_length() - 1, (rest & -rest).bit_length() - 1]
+        m ^= low
     # dedup and drop supersets: an edge containing another is hit whenever
     # the smaller one is.
     edge_masks = sorted(set(edge_masks), key=int.bit_count)
@@ -154,16 +162,6 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
         else:
             kept.append(e)
     edge_masks = kept
-    if not edge_masks:
-        return 0, []
-    # the two-vertex exit of the docstring
-    for x in _branch_order(edge_masks[0], edge_masks):
-        rest = -1
-        for e in edge_masks:
-            if not e >> x & 1:
-                rest &= e
-        if rest:
-            return 2, [x, (rest & -rest).bit_length() - 1]
 
     best_size = len(edge_masks) + 1
     best_set = None
@@ -210,50 +208,19 @@ def chvatal_bound(h):
 
 
 def trap_threshold(g, v):
-    """Minimum cop count on G - {v} controlling all neighbours of v.
-
-    The edges are the closed neighbourhoods of v's neighbours, v removed.
-    Sizes 0, 1 and 2 are answered in place, with no witness: 0 when v
-    has no neighbours; 1 when the AND of all the edges is nonzero; 2
-    when, for some x of the first edge, the AND of the edges that miss x
-    is nonzero (every cover hits the first edge, so a cover {x, y} has
-    its x there and its y in that AND).  Larger covers go to the
-    transversal solver.
-    """
+    """Minimum cop count on G - {v} controlling all neighbours of v: the
+    minimum transversal of the closed neighbourhoods of v's neighbours,
+    v removed."""
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
-    if g.n > TRANSVERSAL_MAX_N:  # v's edges, under n, fit the edge cap
-        raise ValueError(
-            "transversal solver capped at n <= %d, m <= %d"
-            % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
-        )
     # each edge still holds its own u, so none is empty
     adj = g.adj
     drop = ~(1 << v)
     edges = []
-    shared = -1
     m = adj[v]
     while m:
         low = m & -m
-        e = (adj[low.bit_length() - 1] | low) & drop
-        edges.append(e)
-        shared &= e
-        m ^= low
-    if not edges:
-        return 0
-    if shared:
-        return 1
-    # no vertex hits every edge, so each x leaves some edge, and rest is
-    # the AND of one or more edges
-    m = edges[0]
-    while m:
-        low = m & -m
-        rest = -1
-        for e in edges:
-            if not e & low:
-                rest &= e
-        if rest:
-            return 2
+        edges.append((adj[low.bit_length() - 1] | low) & drop)
         m ^= low
     return _min_transversal_masks(g.n, edges)[0]
 

@@ -2,10 +2,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import copwin
 from copwin import families
 from copwin.cli import (
     EXIT_OK,
@@ -180,6 +183,52 @@ def test_resource_exit_wins_over_bad_input(bad_file):
     code, text = run(["solve", "--budget", "10", "--input", bad_file])
     assert "status=parse_error" in text and "status=unresolved" in text
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["scan", "--check", "lemma5"], ["trap"], ["simulate"],
+])
+def test_missing_input_file_exits_usage(tmp_path, argv, capsys):
+    code, text = run(argv + ["--input", str(tmp_path / "missing.g6")])
+    assert code == EXIT_USAGE
+    assert text == ""  # not even the scan header
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class _ClosedAfterOneWrite(io.StringIO):
+    """An out whose reader goes away after the first record."""
+
+    def write(self, s):
+        if self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["trap", "--nmax", "7"], EXIT_OK),
+    # the parse_error record of line 1 is written before the pipe closes
+    (["trap", "--input", "BAD"], EXIT_USAGE),
+])
+def test_broken_pipe_ends_quietly(bad_file, argv, want, capsys):
+    out = _ClosedAfterOneWrite()
+    argv = [bad_file if a == "BAD" else a for a in argv]
+    assert main(argv, out=out) == want
+    assert out.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_at_exit_is_quiet():
+    # a pipe whose reader is gone before the run starts: the short report
+    # sits in the buffer until the final flush
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(copwin.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "copwin.cli", "trap", "--nmax", "4"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
 class TestScan:

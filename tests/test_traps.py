@@ -81,21 +81,21 @@ class TestMinTransversal:
         h = Hypergraph(5, [{2, 3, 4}, {1, 2, 3}, {2, 3}])
         assert min_transversal(h) == (1, frozenset({2}))
 
-    def test_two_vertex_exit_keeps_the_search_witness(self):
-        # pivot {0, 1}; vertex 0 hits three edges and comes first, but the
-        # edges it misses, {1, 2, 6} and {3, 4, 5}, share no vertex; the
-        # edges vertex 1 misses all hold 3
+    def test_two_vertex_exit_walks_the_first_edge_in_label_order(self):
+        # first edge {0, 1}; the edges vertex 0 misses, {1, 2, 6} and
+        # {3, 4, 5}, share no vertex; the edges vertex 1 misses all hold 3
         edges = [{0, 1}, {0, 3, 5}, {0, 3, 6}, {1, 2, 6}, {3, 4, 5}]
         masks = [sum(1 << v for v in e) for e in edges]
         assert _min_transversal_masks(7, masks) == (2, [1, 3])
 
     def test_two_vertex_exit_needs_no_nodes(self):
         # the branch and bound alone gives up within 5 nodes, before it
-        # proves the minimum 2; the exit answers before any node
+        # proves the minimum 2; the exit answers before any node, from the
+        # first edge's least vertex x whose missed edges share a vertex
         masks = [15696, 13214, 8242, 1282, 9290, 2635, 964, 1777, 15287,
                  7008, 6694, 5902, 14572, 2726]
-        assert _min_transversal_masks(14, masks, max_nodes=5) == (2, [1, 6])
-        assert _min_transversal_masks(14, masks) == (2, [1, 6])
+        assert _min_transversal_masks(14, masks, max_nodes=5) == (2, [6, 1])
+        assert _min_transversal_masks(14, masks) == (2, [6, 1])
 
     def test_superset_edges_ignored(self):
         h = Hypergraph(5, [{0, 1}, {0, 1, 2, 3}])
@@ -114,6 +114,13 @@ class TestMinTransversal:
         size, witness = min_transversal(h)
         assert size == brute_transversal(h)
         assert all(e & witness for e in h.edges)
+        # covers of up to two vertices need no branch-and-bound node
+        masks = [sum(1 << v for v in e) for e in edges]
+        quick = _min_transversal_masks(n, masks, max_nodes=0)
+        assert (quick is not None) == (size <= 2)
+        if quick is not None:
+            assert quick[0] == size
+            assert all(e & set(quick[1]) for e in h.edges)
 
     def test_cap(self):
         with pytest.raises(ValueError):
