@@ -201,11 +201,11 @@ class _Board:
         self.closed = [list(bits(g.closed_mask(v))) for v in range(n)]
 
     def field(self, pos):
-        """The field of cop position pos, or None when pos is not k
+        """The field of cop position pos; KeyError when pos is not k
         vertices of g.  Every vector is symmetric, so any order of pos
         reads the same value."""
         if len(pos) != self.k or not all(0 <= v < self.n for v in pos):
-            return None
+            raise KeyError("cop position %r is not %d vertices of the graph" % (pos, self.k))
         f = 0
         for v in pos:
             f = f * self.n + v
@@ -337,12 +337,14 @@ class SolveResult:
     * is_cop_win, level_of -- the label and capture level of a state;
     * placement_value -- the worst capture level over robber placements;
     * cop_move -- the cops' optimal reply;
-    * robber_move, robber_placement -- the robber's optimal replies.
+    * robber_move, robber_placement -- the robber's optimal replies, by
+      one rule (see _reply).
 
     rounds[L] is C_L, the mask vector of the robber vertices from which
     the cops to move win within L rounds; the last is the fixpoint.  A
-    query reads the one field of its cop position.  The robber side is
-    read as a C query of the robber's move mask (see _level).
+    query reads the one field of its cop position, and raises KeyError
+    when that position is not k vertices of g.  The robber side is read
+    as a C query of the robber's move mask (see _level).
     """
 
     def __init__(self, g, cfg, board, arena_vertices, rob_moves, rounds):
@@ -368,8 +370,6 @@ class SolveResult:
         """The least round L whose C_L holds every robber vertex of mask
         at cop position pos, or None."""
         f = self._board.field(pos)
-        if f is None:
-            return None
         read = self._board.read
         return next(
             (lv for lv, cop in enumerate(self._rounds) if read(cop, f) & mask == mask), None
@@ -383,9 +383,9 @@ class SolveResult:
             return self._round(pos, 1 << r)
         if turn != "robber":
             raise KeyError(turn)
-        if r not in self._rob_moves or self._board.field(pos) is None:
+        if r not in self._rob_moves:
             return None
-        return 0 if r in pos else self._round(pos, self._rob_moves[r])
+        return self._round(pos, 0 if r in pos else self._rob_moves[r])
 
     def is_cop_win(self, pos, r, turn):
         return self._level(pos, r, turn) is not None
@@ -409,31 +409,31 @@ class SolveResult:
         succ = _team_moves(self.g, pos)
         return next(t for t in succ if self._level(t, r, "robber") == lv - 1)
 
+    def _reply(self, pos, options):
+        """The robber's optimal choice among arena vertices, the cops at
+        pos to move next: the first he wins from, else the first of
+        greatest capture level.  It serves placement and moves alike: a
+        robber who wins a state to move has a move he wins from, and
+        every move from a state the cops win is a cop win."""
+
+        def level(r):
+            lv = self._round(pos, 1 << r)
+            return math.inf if lv is None else lv
+
+        return max(options, key=level)
+
     def robber_move(self, pos, r):
-        """The robber's best reply in the robber-to-move state (pos, r):
-        stay in the robber-win region when possible, otherwise maximize
-        the capture level."""
-        state = (tuple(sorted(pos)), r, "robber")
-        if self._board.field(pos) is None or r not in self._rob_moves:
-            raise KeyError("state %r not in solve table" % (state,))
-        moves = tuple(bits(self._rob_moves[r]))
-        if not moves:
-            raise ValueError("robber has no legal move from %r" % (state,))
-        if not self.is_cop_win(pos, r, "robber"):
-            return next(r2 for r2 in moves if not self.is_cop_win(pos, r2, "cops"))
-        return max(moves, key=lambda r2: self.level_of(pos, r2, "cops"))
+        """The robber's optimal reply in the robber-to-move state
+        (pos, r), among his moves."""
+        if r not in self._rob_moves:
+            raise KeyError("robber vertex %r is not in the arena" % (r,))
+        if not self._rob_moves[r]:
+            raise ValueError("robber has no legal move from %r" % ((tuple(sorted(pos)), r),))
+        return self._reply(pos, bits(self._rob_moves[r]))
 
     def robber_placement(self, pos):
-        """The robber's best initial vertex against cop placement pos:
-        the first robber-win vertex, else the first of maximum level."""
-        best = None
-        for r in self.arena_vertices:
-            lv = self._round(pos, 1 << r)
-            if lv is None:
-                return r
-            if best is None or lv > best[0]:
-                best = (lv, r)
-        return best[1]
+        """The robber's optimal initial vertex against cop placement pos."""
+        return self._reply(pos, self.arena_vertices)
 
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
@@ -475,17 +475,16 @@ def _robber_moves(g, cfg):
     return arena, {r: arena.adj[r] | (1 << r if stay else 0) for r in arena.vertices}
 
 
-def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False):
-    """Solve one instance of the standard game exactly; returns a
-    SolveResult.  _teleport_wins decides the teleport game.
+def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
+    """Solve one instance of the standard game exactly, on any graph,
+    connected or not; returns a SolveResult.  _teleport_wins decides
+    the teleport game.
 
     Placement semantics: cops pick any position first; the robber, seeing
     it, picks his best arena vertex; play then alternates cops-first.
+    So on a disconnected graph k cops win when they can split to win
+    every component.
     """
-    if not allow_disconnected and not is_connected(g):
-        raise DisconnectedGraphError(
-            "graph is disconnected (pass allow_disconnected to solve anyway)"
-        )
     if cfg.variant != "standard":
         raise ValueError("cops_win plays the standard game, not %r" % cfg.variant)
     arena, rob_moves = _robber_moves(g, cfg)
@@ -590,10 +589,7 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
         if template.variant == "teleport":
             return _teleport_wins(on, replace(template, k=k))
         try:
-            # callers check connectivity
-            return cops_win(
-                on, replace(template, k=k), budget=budget, allow_disconnected=True
-            ).cops_win
+            return cops_win(on, replace(template, k=k), budget=budget).cops_win
         except StateBudgetError as e:
             raise StateBudgetError(
                 e.estimated, e.budget, lower_bound=max(lb, k), counted=e.counted

@@ -11,12 +11,14 @@ import pytest
 import copwin
 from copwin import families
 from copwin.cli import (
+    ALL_CHECKS,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VIOLATION,
     main,
 )
+from copwin.enumeration import graph_classes
 from copwin.families import cycle, petersen
 from copwin.graph6 import emit_graph6, parse_graph6
 from copwin.graphs import Graph
@@ -231,6 +233,12 @@ def test_broken_pipe_at_exit_is_quiet():
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
+# sha256 of `copwin scan --check preceq_equiv --nmax 7 --all` stdout: the
+# header, 996 records (one per connected class on at most 7 vertices),
+# and the summary
+PRECEQ_NMAX7_ALL_SHA256 = "955647675d3265bab129d738a391e29af1388758d3d1b4ee86f9b0034e06926c"
+
+
 class TestScan:
     def test_theorem1_clean(self):
         code, text = run(["scan", "--check", "theorem1", "--nmax", "5"])
@@ -261,6 +269,32 @@ class TestScan:
         code, text = run(["scan", "--check", "preceq_equiv", "--nmax", "4"])
         assert code == EXIT_OK
         assert "violations=0" in text
+
+    def test_preceq_report_n7_pinned(self):
+        code, text = run(["scan", "--check", "preceq_equiv", "--nmax", "7", "--all"])
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 998
+        assert hashlib.sha256(text.encode()).hexdigest() == PRECEQ_NMAX7_ALL_SHA256
+
+    def test_preceq_scan_on_2k2(self, tmp_path):
+        # the game is solved on a disconnected graph as on any other
+        p = tmp_path / "2k2.g6"
+        p.write_text("C`\n")
+        code, text = run(["scan", "--check", "preceq_equiv", "--all", "--input", str(p)])
+        assert code == EXIT_OK
+        assert text.splitlines()[1:] == [
+            "graph=C` n=4 diameter=inf bipartite=true verdict=pass",
+            "# summary check=preceq_equiv checked=1 violations=0 candidates=0 unresolved=0",
+        ]
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_every_check_summarises_disconnected_input(self, tmp_path, check):
+        # every class on at most 6 vertices, disconnected ones included
+        p = tmp_path / "classes6.g6"
+        p.write_text("".join(emit_graph6(g) + "\n" for n in range(1, 7) for g in graph_classes(n)))
+        code, text = run(["scan", "--check", check, "--all", "--input", str(p)])
+        assert code == EXIT_OK
+        assert text.splitlines()[-1].startswith("# summary check=%s " % check)
 
     def test_unresolved_returns_resource(self, petersen_file):
         code, text = run(

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from copwin.enumeration import connected_graph_classes
+from copwin.enumeration import connected_graph_classes, graph_classes
 from copwin.families import complete, cycle, path
 from copwin.solver import GameConfig, cops_win, preceq, preceq_fixpoint_wins
 from copwin.traps import trap_threshold
@@ -49,8 +49,9 @@ class TestFixpointOutcome:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_equals_no_pass_game_exhaustively(self, k):
+        # every class n <= 5, disconnected ones too
         for n in range(1, 6):
-            for g in connected_graph_classes(n):
+            for g in graph_classes(n):
                 res = cops_win(g, GameConfig(k=k, robber_may_pass=False))
                 assert preceq_fixpoint_wins(g, k) == res.cops_win
                 # the stabilized relation is the cops' winning region

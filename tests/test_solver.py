@@ -10,7 +10,15 @@ from copwin import solver
 from copwin.enumeration import connected_graph_classes, graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
-from copwin.graphs import Graph, bits, core, girth, induced_subgraph, is_dismantlable
+from copwin.graphs import (
+    Graph,
+    bits,
+    core,
+    girth,
+    induced_subgraph,
+    is_connected,
+    is_dismantlable,
+)
 from copwin.solver import (
     Arena,
     GameConfig,
@@ -90,6 +98,15 @@ class TestCopNumber:
         assert (lb, ub, h.n) == (1, 1, 1)
         assert cop_number(path(6)) == 1
         assert cop_number(complete(40), budget=10) == 1
+
+    def test_cops_win_on_disconnected_graphs(self):
+        # the robber places after the cops, so k cops win exactly when
+        # they can split to win every component: the least such k is
+        # the sum over components (256 classes, 2 <= n <= 7)
+        for n in range(2, 8):
+            for g in graph_classes(n):
+                if not is_connected(g):
+                    assert _least_winning_k(g) == cop_number(g, allow_disconnected=True), g
 
     def test_max_k_exhausted(self):
         with pytest.raises(CopwinError):
@@ -231,6 +248,22 @@ class TestGameSemantics:
         else:
             levels = [res.level_of(pos, m, "cops") for m in moves]
             assert res.level_of(pos, r2, "cops") == max(levels)
+
+    def test_queries_check_the_cop_position(self):
+        # a position that is not k vertices of the graph is off the
+        # board for every query, not a robber win
+        res = cops_win(cycle(4), GameConfig(k=2))
+        for query in (
+            lambda: res.robber_placement((9, 9)),
+            lambda: res.placement_value((0,)),
+            lambda: res.is_cop_win((0,), 1, "cops"),
+            lambda: res.is_cop_win((0, 9), 1, "robber"),
+            lambda: res.level_of((0, 1, 2), 1, "cops"),
+            lambda: res.cop_move((0,), 1),
+            lambda: res.robber_move((0,), 1),
+        ):
+            with pytest.raises(KeyError):
+                query()
 
     def test_capture_level_zero_when_placed_on_robber(self):
         g = path(3)
