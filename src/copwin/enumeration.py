@@ -116,7 +116,7 @@ def _order_and_neighbors(g):
     generate Aut(g)."""
     n = g.n
     adj = g.adj
-    nbrs = [list(bits(m)) for m in adj]
+    nbrs = [bits(m) for m in adj]
     colors = _refine_colors(nbrs)
     cells = {}
     for v, c in enumerate(colors):

@@ -75,11 +75,24 @@ class Graph:
 
 
 def bits(mask):
-    """Iterate the set bit positions of an int bitmask, ascending."""
+    """The set bit positions of a nonnegative int bitmask, ascending, as a
+    tuple.  A mask below 256 (every vertex mask of a graph on at most 8
+    vertices) reads its tuple from a table of 256, shared by every
+    caller and safe to share because tuples are immutable; a wider mask
+    is walked lowest bit first."""
+    if 0 <= mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 0:
+        raise ValueError("bits needs a nonnegative mask, not %d" % mask)
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+_BYTE_BITS = tuple(tuple(v for v in range(8) if x >> v & 1) for x in range(256))
 
 
 def layers(g, src):

@@ -27,7 +27,8 @@ run on whole vectors at C speed:
   assignments then rotate the tuples so that cop 2 is the top digit.
   k such moves make the cop-move union of one round (the cops move one
   at a time, after Petr, Portier and Versteegen, "A faster algorithm
-  for Cops and Robbers", 2022), and the k rotations restore the order.
+  for Cops and Robbers", 2022), with k - 1 rotations: the union of a
+  symmetric vector is symmetric, so the last move needs no rotation.
 
 The capture mask C_0 below is built the same way, one cop at a time:
 each block ORs the block of k - 1 cops with its vertex's arena bit.
@@ -198,7 +199,7 @@ class _Board:
         self.fields = n**k
         self.size = self.fields * nb  # bytes of one vector
         self.block = self.size // n  # bytes per value of the top cop
-        self.closed = [list(bits(g.closed_mask(v))) for v in range(n)]
+        self.closed = [bits(g.closed_mask(v)) for v in range(n)]
 
     def field(self, pos):
         """The field of cop position pos; KeyError when pos is not k
@@ -248,29 +249,33 @@ class _Board:
         return vec
 
     def union(self, vec):
-        """The cop-move union: field p of the result is the OR of vec
-        over every cop tuple the team at p reaches in one move.  Each
-        cop moves in turn while it is the top digit: output block v is
-        the OR of input blocks w in N[v], then the tuples rotate so the
-        next cop is on top.  After k rotations the order is restored."""
+        """The cop-move union of a symmetric vec: field p of the result
+        is the OR of vec over every cop tuple the team at p reaches in
+        one move.  Each cop moves in turn while it is the top digit:
+        output block v is the OR of input blocks w in N[v], then the
+        tuples rotate so the next cop is on top.  The last move is not
+        rotated back: the result is symmetric too, so each field still
+        reads its own value (not so for k >= 2 on an asymmetric vec)."""
         n, nb, size, block = self.n, self.nb, self.size, self.block
         stride = n * nb
-        for _ in range(self.k):
-            blocks = [_as_int(vec[i:i + block]) for i in range(0, size, block)]
-            out = bytearray(size)
-            for v, closed in enumerate(self.closed):
+        for cop in range(self.k):
+            blocks = [int.from_bytes(vec[i:i + block], "little") for i in range(0, size, block)]
+            moved = []
+            for closed in self.closed:
                 acc = 0
                 for w in closed:
                     acc |= blocks[w]
-                moved = acc.to_bytes(block, "little")
+                moved.append(acc.to_bytes(block, "little"))
+            if cop == self.k - 1:
+                return b"".join(moved)
+            vec = bytearray(size)
+            for v, part in enumerate(moved):
                 # field (v, rest) goes to field (rest, v)
                 if nb == 1:
-                    out[v::n] = moved
+                    vec[v::n] = part
                 else:
                     for j in range(nb):
-                        out[v * nb + j::stride] = moved[j::nb]
-            vec = out
-        return bytes(vec)
+                        vec[v * nb + j::stride] = part[j::nb]
 
     def robber_step(self, moves):
         """The robber step for robber moves given as (vertex, move mask)
@@ -343,8 +348,9 @@ class SolveResult:
     rounds[L] is C_L, the mask vector of the robber vertices from which
     the cops to move win within L rounds; the last is the fixpoint.  A
     query reads the one field of its cop position, and raises KeyError
-    when that position is not k vertices of g.  The robber side is read
-    as a C query of the robber's move mask (see _level).
+    when that position is not k vertices of g or a robber vertex is off
+    the arena.  The robber side is read as a C query of the robber's
+    move mask (see _level).
     """
 
     def __init__(self, g, cfg, board, arena_vertices, rob_moves, rounds):
@@ -356,14 +362,8 @@ class SolveResult:
         self._rounds = rounds
         self._full = sum(1 << v for v in arena_vertices)
         # the cops place where the whole arena is won soonest
-        self.best_position = next(
-            (
-                t
-                for t in (board.first_full(cop, self._full) for cop in rounds)
-                if t is not None
-            ),
-            None,
-        )
+        found = (board.first_full(cop, self._full) for cop in rounds)
+        self.best_position = next((t for t in found if t is not None), None)
         self.cops_win = self.best_position is not None
 
     def _round(self, pos, mask):
@@ -375,17 +375,22 @@ class SolveResult:
             (lv for lv, cop in enumerate(self._rounds) if read(cop, f) & mask == mask), None
         )
 
+    def _moves(self, r):
+        """The robber's move mask at r; KeyError off the arena."""
+        if r not in self._rob_moves:
+            raise KeyError("robber vertex %r is not in the arena" % (r,))
+        return self._rob_moves[r]
+
     def _level(self, pos, r, turn):
         """The level of a state, or None when the robber wins it.  The
         robber to move at arena vertex r is beaten in round L when a cop
         stands on r, or when all his moves lie in C_L[pos]."""
+        moves = self._moves(r)
         if turn == "cops":
             return self._round(pos, 1 << r)
         if turn != "robber":
             raise KeyError(turn)
-        if r not in self._rob_moves:
-            return None
-        return self._round(pos, 0 if r in pos else self._rob_moves[r])
+        return self._round(pos, 0 if r in pos else moves)
 
     def is_cop_win(self, pos, r, turn):
         return self._level(pos, r, turn) is not None
@@ -425,11 +430,10 @@ class SolveResult:
     def robber_move(self, pos, r):
         """The robber's optimal reply in the robber-to-move state
         (pos, r), among his moves."""
-        if r not in self._rob_moves:
-            raise KeyError("robber vertex %r is not in the arena" % (r,))
-        if not self._rob_moves[r]:
+        moves = self._moves(r)
+        if not moves:
             raise ValueError("robber has no legal move from %r" % ((tuple(sorted(pos)), r),))
-        return self._reply(pos, bits(self._rob_moves[r]))
+        return self._reply(pos, bits(moves))
 
     def robber_placement(self, pos):
         """The robber's optimal initial vertex against cop placement pos."""
@@ -467,10 +471,12 @@ def _team_moves(g, t):
 
 
 def _robber_moves(g, cfg):
-    """The validated arena of cfg on g, and each arena vertex's robber
-    move mask: its arena neighbours, and itself when he may pass."""
-    arena = cfg.robber_arena if cfg.robber_arena is not None else Arena.full(g)
-    arena.validate_against(g)
+    """The arena of cfg on g, validated when given (the full arena is
+    g's own adjacency), and each arena vertex's robber move mask: its
+    arena neighbours, and itself when he may pass."""
+    if cfg.robber_arena is not None:
+        cfg.robber_arena.validate_against(g)
+    arena = cfg.robber_arena or Arena.full(g)
     stay = cfg.robber_may_pass
     return arena, {r: arena.adj[r] | (1 << r if stay else 0) for r in arena.vertices}
 
@@ -616,7 +622,7 @@ def _components(g):
             continue
         mask = reachable_mask(g, v)
         seen |= mask
-        comps.append(induced_subgraph(g, list(bits(mask))))
+        comps.append(induced_subgraph(g, bits(mask)))
     return comps
 
 

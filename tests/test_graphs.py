@@ -43,6 +43,34 @@ def sparse_graph_strategy(draw, max_n=10):
     return Graph(n, edges)
 
 
+def _lowest_bit_walk(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class TestBits:
+    def test_matches_lowest_bit_walk(self):
+        # the byte table below 256, the walk above, ascending either way
+        for mask in [*range(1 << 12), (1 << 64) - 1, 1 << 100 | 5]:
+            got = bits(mask)
+            assert type(got) is tuple and list(got) == _lowest_bit_walk(mask), mask
+
+    def test_shared_entries_are_immutable(self):
+        # a table entry is handed to every caller, so none may change it
+        for mask in range(256):
+            got = bits(mask)
+            assert type(got) is tuple and got is bits(mask)
+
+    def test_rejects_negative_masks(self):
+        for mask in (-1, -256, -(1 << 70)):
+            with pytest.raises(ValueError):
+                bits(mask)
+
+
 def floyd_warshall(n, edges):
     """All-pairs distances from an edge list, math.inf when unreachable;
     shares no code with the breadth-first walk under test."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin import solver
-from copwin.enumeration import connected_graph_classes, graph_classes
+from copwin.enumeration import canonical_graph, connected_graph_classes, graph_classes
 from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
 from copwin.graphs import (
@@ -265,6 +265,24 @@ class TestGameSemantics:
             with pytest.raises(KeyError):
                 query()
 
+    def test_queries_check_the_robber_vertex(self):
+        # a robber vertex off the arena is off the board on both turns,
+        # not a robber win: 9 is no vertex of C4, and 3 and 5 are
+        # vertices of C6 outside a restricted arena
+        c6 = cycle(6)
+        for res, r in (
+            (cops_win(cycle(4), GameConfig(k=2)), 9),
+            (cops_win(c6, GameConfig(k=1, robber_arena=Arena.induced(c6, (0, 1, 2)))), 3),
+            (cops_win(c6, GameConfig(k=2, robber_arena=Arena.induced(c6, (0, 1, 2)))), 5),
+        ):
+            pos = (0, 1)[:res.cfg.k]
+            for turn in ("cops", "robber"):
+                for query in (res.is_cop_win, res.level_of):
+                    with pytest.raises(KeyError, match="not in the arena"):
+                        query(pos, r, turn)
+            with pytest.raises(KeyError, match="not in the arena"):
+                res.robber_move(pos, r)
+
     def test_capture_level_zero_when_placed_on_robber(self):
         g = path(3)
         res = cops_win(g, GameConfig(k=1))
@@ -356,25 +374,32 @@ def _decoded_rounds(res):
 
 
 class TestLayeredMoves:
-    def test_union_matches_product_successors(self):
-        # every connected class n <= 6, k <= 3: the cop-move union of a
-        # random vector of multiset masks is, at every position, the OR
-        # over the product successors of that position
+    def test_union_matches_product_successors(self, petersen_graph):
+        # every connected class n <= 6 with k <= 3, and two-lane boards
+        # (n >= 9, two bytes a field): Petersen with k <= 3 and seeded
+        # connected classes on 9 vertices with k <= 2.  The cop-move
+        # union of a random symmetric vector is, at every ordered tuple,
+        # the OR over the product successors of its multiset: the result
+        # is symmetric, which the union's unrotated last move relies on
         rng = random.Random(8)
-        for n in range(1, 7):
-            for g in connected_graph_classes(n):
-                for k in (1, 2, 3):
-                    board = _Board(g, k)
-                    positions = list(combinations_with_replacement(range(n), k))
-                    masks = {t: rng.getrandbits(n) for t in positions}
-                    vec = b"".join(
-                        masks[tuple(sorted(t))].to_bytes(board.nb, "little")
-                        for t in product(range(n), repeat=k)
-                    )
-                    got = board.union(vec)
-                    for t in positions:
-                        want = _or_all(masks[q] for q in _team_moves(g, t))
-                        assert board.read(got, board.field(t)) == want, (g, k, t)
+        cases = [(g, k) for n in range(1, 7) for g in connected_graph_classes(n) for k in (1, 2, 3)]
+        cases += [(petersen_graph, k) for k in (1, 2, 3)]
+        pairs, sample = list(combinations(range(9), 2)), []
+        while len(sample) < 6:
+            g = Graph(9, [e for e in pairs if rng.random() < rng.choice((0.3, 0.5))])
+            if is_connected(g):
+                sample.append(canonical_graph(g))
+        cases += [(g, k) for g in sample for k in (1, 2)]
+        for g, k in cases:
+            board = _Board(g, k)
+            positions = list(combinations_with_replacement(range(g.n), k))
+            masks = {t: rng.getrandbits(g.n) for t in positions}
+            tuples = list(product(range(g.n), repeat=k))
+            vec = b"".join(masks[tuple(sorted(t))].to_bytes(board.nb, "little") for t in tuples)
+            got = board.union(vec)
+            want = {t: _or_all(masks[q] for q in _team_moves(g, t)) for t in positions}
+            for t in tuples:
+                assert board.read(got, board.field(t)) == want[tuple(sorted(t))], (g, k, t)
 
     def test_petersen_rounds_match_product_table(self, petersen_graph):
         res = cops_win(petersen_graph, GameConfig(k=3))
