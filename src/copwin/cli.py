@@ -219,7 +219,7 @@ def cmd_scan(args, out, found):
     if args.nmax is not None:
         header["nmax"] = args.nmax
     if args.input:
-        header["input"] = args.input
+        header["input"] = os.path.basename(args.input)  # not its path: same file, same bytes
     if not args.json:
         out.write("# " + _kv(header) + "\n")
     verdicts = Counter()

@@ -14,7 +14,7 @@ the line itself.
 from __future__ import annotations
 
 from .errors import Graph6Error
-from .graphs import Graph
+from .graphs import Graph, bits
 
 PREFIX = ">>graph6<<"
 DEFAULT_MAX_N = 64
@@ -31,10 +31,8 @@ def _masks(n, t):
     for v in range(1, n):
         adj[v] = rows = t & ((1 << v) - 1)
         t >>= v
-        while rows:
-            low = rows & -rows
-            adj[low.bit_length() - 1] |= 1 << v
-            rows ^= low
+        for u in bits(rows):
+            adj[u] |= 1 << v
     return adj
 
 

@@ -4,14 +4,16 @@ Vertices are 0..n-1.  Adjacency rows are Python ints used as bitsets, so
 graphs well beyond 64 vertices work without a separate representation;
 the 64-vertex figure only appears as the default parser cap in graph6.
 
-One breadth-first walk, ``layers``, yields the distance layers from a
-source as bitmasks; reachability, distances, bipartiteness and girth are
-each a few lines on top of it.  ``diameter`` walks from every source, so
-it inlines the same walk rather than resume a generator once a layer.
+Every walk over the set bits of a mask goes through ``bits``.  One
+breadth-first walk, ``layers``, yields the distance layers from a source
+as bitmasks; reachability, distances, bipartiteness and girth are each a
+few lines on top of it.  ``diameter`` walks from every source, so for
+speed it inlines the BFS rather than resume a generator once a layer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DisconnectedGraphError
@@ -76,23 +78,31 @@ class Graph:
 
 def bits(mask):
     """The set bit positions of a nonnegative int bitmask, ascending, as a
-    tuple.  A mask below 256 (every vertex mask of a graph on at most 8
-    vertices) reads its tuple from a table of 256, shared by every
-    caller and safe to share because tuples are immutable; a wider mask
-    is walked lowest bit first."""
+    tuple: the one loop over a mask's bits in the package.  Each byte is
+    read from a table of 256 for its offset, shared by every caller as
+    tuples are immutable; the tables of the first two bytes (every vertex
+    mask of a graph on at most 16 vertices) are built at import."""
     if 0 <= mask < 256:
         return _BYTE_BITS[mask]
     if mask < 0:
         raise ValueError("bits needs a nonnegative mask, not %d" % mask)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    if mask < 65536:  # at most 16 vertices, as in the n = 9 scans: no loop
+        return _BYTE_BITS[mask & 255] + _SECOND_BYTE[mask >> 8]
+    out = _BYTE_BITS[mask & 255]
+    offset = 8
+    while mask := mask >> 8:
+        out += _byte_bits(offset)[mask & 255]
+        offset += 8
+    return out
 
 
-_BYTE_BITS = tuple(tuple(v for v in range(8) if x >> v & 1) for x in range(256))
+@functools.lru_cache(maxsize=None)
+def _byte_bits(offset):
+    """Each byte value's set bit positions plus offset; built once per offset."""
+    return tuple(tuple(v + offset for v in range(8) if x >> v & 1) for x in range(256))
+
+
+_BYTE_BITS, _SECOND_BYTE = _byte_bits(0), _byte_bits(8)
 
 
 def layers(g, src):
@@ -104,11 +114,8 @@ def layers(g, src):
     while frontier:
         yield frontier
         new = 0
-        m = frontier
-        while m:
-            low = m & -m
-            new |= adj[low.bit_length() - 1]
-            m ^= low
+        for v in bits(frontier):
+            new |= adj[v]
         frontier = new & ~seen
         seen |= frontier
 
@@ -146,11 +153,8 @@ def diameter(g):
         depth = 0
         while seen != full:
             new = 0
-            m = frontier
-            while m:
-                low = m & -m
-                new |= adj[low.bit_length() - 1]
-                m ^= low
+            for v in bits(frontier):
+                new |= adj[v]
             frontier = new & ~seen
             if not frontier:
                 return math.inf
@@ -170,12 +174,9 @@ def is_bipartite(g):
             continue
         for layer in layers(g, s):
             seen |= layer
-            m = layer
-            while m:
-                low = m & -m
-                if adj[low.bit_length() - 1] & layer:
+            for v in bits(layer):
+                if adj[v] & layer:
                     return False
-                m ^= low
     return True
 
 
@@ -235,14 +236,11 @@ def core(g):
             if not alive & bit:
                 continue
             cu = (nu | bit) & alive
-            m = nu & alive
-            while m:
-                low = m & -m
-                if cu & ~(adj[low.bit_length() - 1] | low) == 0:
+            for v in bits(nu & alive):
+                if cu & ~(adj[v] | 1 << v) == 0:
                     alive ^= bit
                     shrunk = True
                     break
-                m ^= low
     return alive
 
 

@@ -271,7 +271,7 @@ class _Board:
             vec = bytearray(size)
             for v, part in enumerate(moved):
                 # field (v, rest) goes to field (rest, v)
-                if nb == 1:
+                if nb == 1:  # one lane: a lane loop here costs ~10% of a k = 2 solve at n <= 8
                     vec[v::n] = part
                 else:
                     for j in range(nb):
@@ -505,7 +505,8 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
         _keep(board.size * (len(rounds) + 1), budget)  # and R_L in flight
         # a robber to move loses where caught or where every move is
         rob = (caught | _as_int(trapped(rounds[-1]))).to_bytes(board.size, "little")
-        nxt = cop | _as_int(board.union(rob))
+        # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
+        nxt = _as_int(board.union(rob))
         if nxt == cop:
             break
         cop = nxt

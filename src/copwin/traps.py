@@ -82,16 +82,8 @@ def min_transversal(h):
 
 
 def _branch_order(pivot, edge_masks):
-    """The pivot's vertices in search order: most edges hit first, then
-    least label."""
-    cands = []
-    m = pivot
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        cands.append((-sum(1 for e in edge_masks if e >> v & 1), v))
-        m ^= low
-    return [v for _, v in sorted(cands)]
+    """The pivot's vertices in search order: most edges hit, then least label."""
+    return sorted(bits(pivot), key=lambda v: -sum(1 for e in edge_masks if e >> v & 1))
 
 
 class _Stop(Exception):
@@ -141,16 +133,14 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
         return 1, [(shared & -shared).bit_length() - 1]
     # no vertex hits every edge, so each x leaves some edge, and rest is
     # the AND of one or more edges
-    m = edge_masks[0]
-    while m:
-        low = m & -m
+    for x in bits(edge_masks[0]):
+        low = 1 << x
         rest = -1
         for e in edge_masks:
             if not e & low:
                 rest &= e
         if rest:
-            return 2, [low.bit_length() - 1, (rest & -rest).bit_length() - 1]
-        m ^= low
+            return 2, [x, (rest & -rest).bit_length() - 1]
     # dedup and drop supersets: an edge containing another is hit whenever
     # the smaller one is.
     edge_masks = sorted(set(edge_masks), key=int.bit_count)
@@ -217,11 +207,8 @@ def trap_threshold(g, v):
     adj = g.adj
     drop = ~(1 << v)
     edges = []
-    m = adj[v]
-    while m:
-        low = m & -m
-        edges.append((adj[low.bit_length() - 1] | low) & drop)
-        m ^= low
+    for u in bits(adj[v]):
+        edges.append((adj[u] | 1 << u) & drop)
     return _min_transversal_masks(g.n, edges)[0]
 
 

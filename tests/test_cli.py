@@ -287,6 +287,14 @@ class TestScan:
             "# summary check=preceq_equiv checked=1 violations=0 candidates=0 unresolved=0",
         ]
 
+    def test_header_names_input_file_not_its_path(self, petersen_file, monkeypatch):
+        # one file read through two paths gives the same bytes
+        _, full = run(["scan", "--check", "lemma5", "--all", "--input", petersen_file])
+        monkeypatch.chdir(os.path.dirname(petersen_file))
+        _, bare = run(["scan", "--check", "lemma5", "--all", "--input", "g.g6"])
+        assert full == bare
+        assert full.splitlines()[0] == "# check=lemma5 seed=0 input=g.g6"
+
     @pytest.mark.parametrize("check", ALL_CHECKS)
     def test_every_check_summarises_disconnected_input(self, tmp_path, check):
         # every class on at most 6 vertices, disconnected ones included

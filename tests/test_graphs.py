@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from copwin.enumeration import canonical_graph, connected_graph_classes
 from copwin.errors import DisconnectedGraphError
 from copwin.families import complete, cycle, path
+from copwin.graph6 import emit_graph6, parse_graph6
 from copwin.graphs import (
     Graph,
+    _byte_bits,
     bfs_distances,
     bits,
     core,
@@ -19,6 +22,7 @@ from copwin.graphs import (
     is_connected,
     is_dismantlable,
 )
+from copwin.traps import Hypergraph, min_transversal, trap_threshold
 
 
 def random_graph(draw, max_n=8):
@@ -54,8 +58,10 @@ def _lowest_bit_walk(mask):
 
 class TestBits:
     def test_matches_lowest_bit_walk(self):
-        # the byte table below 256, the walk above, ascending either way
-        for mask in [*range(1 << 12), (1 << 64) - 1, 1 << 100 | 5]:
+        # one byte table below 256, a table per byte offset above it
+        rng = random.Random(16)
+        wide = [rng.getrandbits(w) for w in (20, 64, 65, 100, 300) for _ in range(200)]
+        for mask in [*range(1 << 16), *wide, (1 << 64) - 1, 1 << 100 | 5]:
             got = bits(mask)
             assert type(got) is tuple and list(got) == _lowest_bit_walk(mask), mask
 
@@ -64,11 +70,44 @@ class TestBits:
         for mask in range(256):
             got = bits(mask)
             assert type(got) is tuple and got is bits(mask)
+        for offset in range(0, 304, 8):
+            assert all(type(entry) is tuple for entry in _byte_bits(offset))
 
     def test_rejects_negative_masks(self):
         for mask in (-1, -256, -(1 << 70)):
             with pytest.raises(ValueError):
                 bits(mask)
+
+
+def wide_graphs():
+    """Seeded random graphs on 9 to 64 vertices, so masks of 2 to 8 bytes:
+    sparse, dense and bipartite ones at each order."""
+    rng = random.Random(24)
+    for n in (9, 15, 16, 17, 24, 31, 40, 48, 57, 64):
+        for p, odd in ((1.5 / n, False), (0.5, False), (4 / n, True)):
+            # odd: only edges joining an even and an odd label, so bipartite
+            pairs = [(u, v) for v in range(n) for u in range(v) if (u + v) % 2 or not odd]
+            yield Graph(n, [e for e in pairs if rng.random() < p])
+
+
+def test_mask_walks_pinned_on_wide_graphs():
+    # every loop over a mask's bits, on masks of 2 to 8 bytes: the answers
+    # hash to the digest the lowest-bit walks gave
+    h = hashlib.sha256()
+    for g in wide_graphs():
+        covers = [
+            min_transversal(Hypergraph(g.n, [bits(g.closed_mask(u) & ~(1 << v)) for u in bits(g.adj[v])]))
+            for v in range(0, g.n, 7)
+            if g.adj[v]
+        ]
+        h.update(repr((
+            core(g), diameter(g), is_bipartite(g), girth(g),
+            [bfs_distances(g, s) for s in range(0, g.n, 5)],
+            [trap_threshold(g, v) for v in range(g.n)],
+            [(size, sorted(w)) for size, w in covers],
+            parse_graph6(emit_graph6(g)).adj,
+        )).encode())
+    assert h.hexdigest() == "7587ae4c4284df7e0b612b67c5fb18ef85d31f125bda99124b9516eb236d1207"
 
 
 def floyd_warshall(n, edges):
