@@ -39,6 +39,7 @@ from .solver import (
     preceq_fixpoint_wins,
     restricted_cop_number,
     teleport_cop_number,
+    wins,
 )
 from .strategy import (
     CopPlan,

@@ -36,9 +36,9 @@ from .solver import (
     DEFAULT_STATE_BUDGET,
     GameConfig,
     cop_number,
-    cops_win,
     preceq_fixpoint_wins,
     teleport_cop_number,
+    wins,
 )
 from .strategy import (
     build_theorem1_plan,
@@ -201,9 +201,7 @@ def _scan_one(check, g, budget):
     if check == "preceq_equiv":
         for k in (1, 2):
             fix = preceq_fixpoint_wins(g, k, budget=budget)
-            game = cops_win(
-                g, GameConfig(k=k, robber_may_pass=False), budget=budget
-            ).cops_win
+            game = wins(g, GameConfig(k=k, robber_may_pass=False), budget=budget)
             if fix != game:
                 rec["k"] = k
                 return rec, "fail"

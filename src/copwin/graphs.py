@@ -78,10 +78,12 @@ class Graph:
 
 def bits(mask):
     """The set bit positions of a nonnegative int bitmask, ascending, as a
-    tuple: the one loop over a mask's bits in the package.  Each byte is
-    read from a table of 256 for its offset, shared by every caller as
-    tuples are immutable; the tables of the first two bytes (every vertex
-    mask of a graph on at most 16 vertices) are built at import."""
+    tuple: the one loop over a mask's bits in the package.  Each nonzero
+    byte is read from a table of 256 for its offset, shared by every
+    caller as tuples are immutable; a run of zero bytes is jumped in one
+    shift, to the byte of the lowest bit left.  The tables of the first
+    two bytes (every vertex mask of a graph on at most 16 vertices) are
+    built at import."""
     if 0 <= mask < 256:
         return _BYTE_BITS[mask]
     if mask < 0:
@@ -91,7 +93,13 @@ def bits(mask):
     out = _BYTE_BITS[mask & 255]
     offset = 8
     while mask := mask >> 8:
-        out += _byte_bits(offset)[mask & 255]
+        byte = mask & 255
+        if not byte:
+            skip = (mask & -mask).bit_length() - 1 & ~7  # whole zero bytes below the lowest bit
+            mask >>= skip
+            offset += skip
+            byte = mask & 255
+        out += _byte_bits(offset)[byte]
         offset += 8
     return out
 

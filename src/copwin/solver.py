@@ -36,8 +36,9 @@ each block ORs the block of k - 1 cops with its vertex's arena bit.
 A solve is sized by arithmetic before anything is built: its states,
 and the bytes of its first round (n^k * ceil(n/8) bytes per vector, two
 vectors: C_0 and the R_0 built from it), must each be within the
-budget.  The rounds a result keeps are held to the same budget as they
-are added, one vector each plus the R vector in flight.
+budget.  Each later round is held to the same budget as it is computed,
+one vector for every round so far plus the R vector in flight, whether
+or not the caller keeps the rounds.
 
 Winning states are the cop attractor of the capture states, computed in
 rounds over mask vectors of robber vertices.  One loop serves the
@@ -53,17 +54,21 @@ standard game; each round is a robber step and a cop-move union:
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
-capture.  R_L is a function of C_L, so results keep only the C vectors;
-R_L is built in the loop, fed to the union and dropped.  Labels, levels
-and both sides' replies are read from the C vectors on demand, one
-field at a time: the robber to move at r is beaten in round L when a
-cop stands on r or his move mask lies in C_L[p], so his level is a
-cops-side query of that mask.  A cop reply builds the successors of
-its one position.  Ties break as on multiset positions in sorted order:
-best_position is the first full field of the earliest round, and the
-full fields form a set closed under permuting the cops, whose
-lexicographically first tuple is sorted; cop_move tries the successor
-multisets in sorted order.
+capture.  One generator, _attractor, yields C_0, C_1, ... and two
+callers read it.  C_L only grows, so the first round with a field
+holding the whole arena decides that k cops win: wins, which answers
+the verdict alone, stops there, and returns False at the fixpoint.
+cops_win reads every round into a SolveResult.  R_L is a function of
+C_L, so results keep only the C vectors; R_L is built in the loop, fed
+to the union and dropped.  Labels, levels and both sides' replies are
+read from the C vectors on demand, one field at a time: the robber to
+move at r is beaten in round L when a cop stands on r or his move mask
+lies in C_L[p], so his level is a cops-side query of that mask.  A cop
+reply builds the successors of its one position.  Ties break as on
+multiset positions in sorted order: best_position is the first full
+field of the earliest round, and the full fields form a set closed
+under permuting the cops, whose lexicographically first tuple is
+sorted; cop_move tries the successor multisets in sorted order.
 
 The teleport game needs no vectors.  Each cop may jump to any vertex
 but the robber's, and the robber loses when his round (or placement)
@@ -81,7 +86,8 @@ edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
 are about.
 
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
-search, _least_winning_k, which solves only the k in [LB, UB):
+search, _least_winning_k, which solves only the k in [LB, UB), each by
+wins (or _teleport_wins), so no solve runs past its deciding round:
 
 * In the standard full-arena game with a passing robber, LB, UB and
   the solves for k >= 2 are on the corner-free core (graphs.core), as
@@ -103,7 +109,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, product
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
@@ -481,36 +487,59 @@ def _robber_moves(g, cfg):
     return arena, {r: arena.adj[r] | (1 << r if stay else 0) for r in arena.vertices}
 
 
+def _attractor(g, cfg, budget):
+    """The board of cfg's standard game on g, its arena, its robber
+    moves and a generator of the vectors C_0, C_1, ... up to the
+    fixpoint.  The board is sized before this returns; the round after
+    C_L is charged L + 2 vectors (C_0 .. C_L and R_L) as it is computed."""
+    if cfg.variant != "standard":
+        raise ValueError("the byte engine plays the standard game, not %r" % cfg.variant)
+    arena, rob_moves = _robber_moves(g, cfg)
+    board = _sized_board(g, cfg.k, len(arena.vertices) * 2, 2, budget)
+    trapped = board.robber_step(rob_moves.items())
+    amask = sum(1 << v for v in arena.vertices)
+
+    def rounds():
+        # a robber on a cop is caught: the occupied arena vertices
+        caught = cop = _as_int(board.spread([(1 << v) & amask for v in range(g.n)]))
+        for kept in count(1):
+            vec = cop.to_bytes(board.size, "little")
+            yield vec
+            _keep(board.size * (kept + 1), budget)  # and R_L in flight
+            # a robber to move loses where caught or where every move is
+            rob = (caught | _as_int(trapped(vec))).to_bytes(board.size, "little")
+            # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
+            nxt = _as_int(board.union(rob))
+            if nxt == cop:
+                return
+            cop = nxt
+
+    return board, arena, rob_moves, rounds()
+
+
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
     """Solve one instance of the standard game exactly, on any graph,
-    connected or not; returns a SolveResult.  _teleport_wins decides
-    the teleport game.
+    connected or not; returns a SolveResult of every round.  wins
+    answers the verdict alone; _teleport_wins decides the teleport game.
 
     Placement semantics: cops pick any position first; the robber, seeing
     it, picks his best arena vertex; play then alternates cops-first.
     So on a disconnected graph k cops win when they can split to win
     every component.
     """
-    if cfg.variant != "standard":
-        raise ValueError("cops_win plays the standard game, not %r" % cfg.variant)
-    arena, rob_moves = _robber_moves(g, cfg)
-    board = _sized_board(g, cfg.k, len(arena.vertices) * 2, 2, budget)
-    trapped = board.robber_step(rob_moves.items())
-    amask = sum(1 << v for v in arena.vertices)
-    # a robber on a cop is caught: the occupied arena vertices
-    caught = cop = _as_int(board.spread([(1 << v) & amask for v in range(g.n)]))
-    rounds = []
-    while True:
-        rounds.append(cop.to_bytes(board.size, "little"))
-        _keep(board.size * (len(rounds) + 1), budget)  # and R_L in flight
-        # a robber to move loses where caught or where every move is
-        rob = (caught | _as_int(trapped(rounds[-1]))).to_bytes(board.size, "little")
-        # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
-        nxt = _as_int(board.union(rob))
-        if nxt == cop:
-            break
-        cop = nxt
-    return SolveResult(g, cfg, board, arena.vertices, rob_moves, rounds)
+    board, arena, rob_moves, rounds = _attractor(g, cfg, budget)
+    return SolveResult(g, cfg, board, arena.vertices, rob_moves, list(rounds))
+
+
+def wins(g, cfg, budget=DEFAULT_STATE_BUDGET):
+    """Whether cfg.k cops win the standard game cfg on g: cops_win's
+    verdict, read from the rounds as they come.  C_L only grows, so the
+    first round with a field holding the whole arena decides True and
+    the fixpoint decides False; no round is kept, and the rounds after
+    the deciding one are neither computed nor charged to the budget."""
+    board, arena, _, rounds = _attractor(g, cfg, budget)
+    full = sum(1 << v for v in arena.vertices)
+    return any(board.first_full(cop, full) is not None for cop in rounds)
 
 
 def _teleport_wins(g, cfg):
@@ -592,11 +621,11 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
         raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
     top = max_k if max_k is not None else g.n
 
-    def wins(k, on):
+    def decide(k, on):
         if template.variant == "teleport":
             return _teleport_wins(on, replace(template, k=k))
         try:
-            return cops_win(on, replace(template, k=k), budget=budget).cops_win
+            return wins(on, replace(template, k=k), budget)
         except StateBudgetError as e:
             raise StateBudgetError(
                 e.estimated, e.budget, lower_bound=max(lb, k), counted=e.counted
@@ -604,11 +633,11 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
 
     if h is None:
         h = g  # a game without a core
-    elif g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N and wins(1, g) != (h.n == 1):
+    elif g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N and decide(1, g) != (h.n == 1):
         raise CopwinError("solver/dismantlability mismatch on %d-vertex graph" % g.n)
     stop = top + 1 if ub is None else min(ub, top + 1)
     for k in range(lb, stop):
-        if wins(k, h):
+        if decide(k, h):
             return k
     if ub is not None and ub <= top:
         return ub
@@ -673,29 +702,37 @@ def teleport_cop_number(g, allow_disconnected=False):
     return _least_winning_k(g, GameConfig(variant="teleport"))
 
 
-def _preceq_level(g, k, i, budget):
-    """The board and rel[min(i, fixpoint)] of the relation chain rel[0],
-    rel[1], ..., a mask vector over robber vertices; the chain stops at
-    the first level equal to the one before.  The robber does not pass;
-    cop moves use the reflexive closure of the strong product.  Only the
-    current level and the union cum of those before it are held."""
+def _preceq_levels(g, k, budget):
+    """The board and a generator of the relation chain rel[0], rel[1],
+    ..., each a mask vector over robber vertices, up to the first level
+    equal to the one before.  The robber does not pass; cop moves use
+    the reflexive closure of the strong product.  rel[0] is occupancy
+    and rel[i+1] the robber step of the cop-move union of rel[i]: the
+    chain grows (rel[1] holds rel[0], as a robber on a cop has every
+    neighbour within one cop move, and both steps are monotone), so
+    rel[i] is already the union of the levels before it."""
     board = _sized_board(g, k, g.n, 1, budget)
     trapped = board.robber_step(enumerate(g.adj))
-    rel = cum = board.spread([1 << v for v in range(g.n)])
-    level = 0
-    while level < i:
-        new = trapped(board.union(cum))
-        if new == rel:
-            break
-        rel, level = new, level + 1
-        cum = (_as_int(cum) | _as_int(new)).to_bytes(board.size, "little")
-    return board, rel
+
+    def levels(rel):
+        while True:
+            yield rel
+            new = trapped(board.union(rel))
+            if new == rel:
+                return
+            rel = new
+
+    return board, levels(board.spread([1 << v for v in range(g.n)]))
 
 
 def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
     """The relation between robber vertices and cop positions at level i
-    (the stabilized relation if i exceeds the fixpoint index)."""
-    board, rel = _preceq_level(g, k, i, budget)
+    (rel[0] for i <= 0, the stabilized relation if i exceeds the
+    fixpoint index)."""
+    board, levels = _preceq_levels(g, k, budget)
+    for level, rel in enumerate(levels):
+        if level >= i:
+            break
     return {
         (x, t)
         for t in combinations_with_replacement(range(g.n), k)
@@ -705,6 +742,8 @@ def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
 
 def preceq_fixpoint_wins(g, k, budget=DEFAULT_STATE_BUDGET):
     """True iff some position relates to every robber vertex in the
-    stabilized relation; equals cops_win with a no-pass robber."""
-    board, rel = _preceq_level(g, k, math.inf, budget)
-    return board.first_full(rel, (1 << g.n) - 1) is not None
+    stabilized relation; equals cops_win with a no-pass robber.  The
+    chain grows, so the first level holding a full field decides."""
+    board, levels = _preceq_levels(g, k, budget)
+    full = (1 << g.n) - 1
+    return any(board.first_full(rel, full) is not None for rel in levels)

@@ -58,9 +58,15 @@ def _lowest_bit_walk(mask):
 
 class TestBits:
     def test_matches_lowest_bit_walk(self):
-        # one byte table below 256, a table per byte offset above it
+        # one byte table below 256, a table per byte offset above it;
+        # sparse wide masks (at most 3 set bits in 65 to 300) jump runs
+        # of zero bytes
         rng = random.Random(16)
         wide = [rng.getrandbits(w) for w in (20, 64, 65, 100, 300) for _ in range(200)]
+        wide += [
+            sum(1 << b for b in rng.sample(range(w), rng.randint(1, 3)))
+            for w in (65, 100, 128, 257, 300) for _ in range(200)
+        ]
         for mask in [*range(1 << 16), *wide, (1 << 64) - 1, 1 << 100 | 5]:
             got = bits(mask)
             assert type(got) is tuple and list(got) == _lowest_bit_walk(mask), mask

@@ -5,7 +5,14 @@ import pytest
 
 from copwin.enumeration import connected_graph_classes, graph_classes
 from copwin.families import complete, cycle, path
-from copwin.solver import GameConfig, cops_win, preceq, preceq_fixpoint_wins
+from copwin.solver import (
+    DEFAULT_STATE_BUDGET,
+    GameConfig,
+    _preceq_levels,
+    cops_win,
+    preceq,
+    preceq_fixpoint_wins,
+)
 from copwin.traps import trap_threshold
 
 
@@ -62,6 +69,22 @@ class TestFixpointOutcome:
                     for x in range(n)
                     if res.is_cop_win(p, x, "robber")
                 }
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_levels_grow_and_the_first_full_level_decides(self, k):
+        # every class n <= 6, disconnected ones too: each level holds the
+        # one before, so the verdict read as the levels come equals the
+        # one read at the fixpoint, and a level below 0 reads rel[0]
+        for n in range(1, 7):
+            for g in graph_classes(n):
+                board, levels = _preceq_levels(g, k, DEFAULT_STATE_BUDGET)
+                chain = [int.from_bytes(rel, "little") for rel in levels]
+                assert all(a & ~b == 0 for a, b in zip(chain, chain[1:])), g
+                fixpoint = chain[-1].to_bytes(board.size, "little")
+                at_fixpoint = board.first_full(fixpoint, (1 << n) - 1) is not None
+                assert preceq_fixpoint_wins(g, k) == at_fixpoint, g
+                occupancy = {(x, t) for t in combinations_with_replacement(range(n), k) for x in t}
+                assert preceq(g, k, -1) == preceq(g, k, 0) == occupancy, g
 
 
 class TestTrapLink:

@@ -32,6 +32,7 @@ from copwin.solver import (
     preceq_fixpoint_wins,
     restricted_cop_number,
     teleport_cop_number,
+    wins,
 )
 from copwin.strategy import _GreedyRobber, _robber_policy, build_theorem1_plan
 
@@ -433,6 +434,22 @@ class TestLayeredMoves:
                     want = full in _oracle_rounds(g, cfg)[-1][0]
                     assert _teleport_wins(g, cfg) == want, (g, cfg)
 
+    def test_verdict_stops_at_the_first_full_round(self, petersen_graph):
+        # every connected class n <= 6 and Petersen, k <= 3, a passing
+        # and a no-pass robber, the full arena and a seeded one from
+        # edges: C_L only grows, so the verdict read at the first round
+        # with a full field is the verdict of the oracle's fixpoint
+        rng = random.Random(25)
+        graphs = [g for n in range(1, 7) for g in connected_graph_classes(n)] + [petersen_graph]
+        for g in graphs:
+            for arena in (None, _random_arena(g, rng)):
+                for k, passing in product((1, 2, 3), (True, False)):
+                    cfg = GameConfig(k=k, robber_may_pass=passing, robber_arena=arena)
+                    full = sum(1 << v for v in (arena or Arena.full(g)).vertices)
+                    assert wins(g, cfg) == (full in _oracle_rounds(g, cfg)[-1][0]), (g, cfg)
+                    kept = [int.from_bytes(vec, "little") for vec in cops_win(g, cfg)._rounds]
+                    assert all(c & ~nxt == 0 for c, nxt in zip(kept, kept[1:])), (g, cfg)
+
 
 class TestRestricted:
     def test_petersen_pentagon_arena(self, petersen_graph):
@@ -576,6 +593,8 @@ def test_state_spaces_sized_before_allocation(petersen_graph):
         with pytest.raises(StateBudgetError):
             cops_win(petersen_graph, GameConfig(k=10), budget=1000)
         with pytest.raises(StateBudgetError):
+            wins(petersen_graph, GameConfig(k=10), budget=1000)
+        with pytest.raises(StateBudgetError):
             preceq_fixpoint_wins(petersen_graph, 10, budget=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -600,14 +619,17 @@ def test_work_bound_by_arithmetic(hoffman_singleton_graph):
 
 def test_work_budget_refuses_before_allocation():
     # incidence(3) with k = 4: 1,235,052 states fit the budget, but one
-    # round of two 1,827,904-byte vectors does not, nor does the first
-    # vector of the preceq chain; building them would take megabytes
+    # round of two 1,827,904-byte vectors does not, for the solve and the
+    # verdict alike, nor does the first vector of the preceq chain;
+    # building them would take megabytes
     g = incidence(3)
     assert math.comb(g.n + 3, 4) * 2 * g.n == 1_235_052
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetError) as solve:
             cops_win(g, GameConfig(k=4), budget=1_500_000)
+        with pytest.raises(StateBudgetError) as verdict:
+            wins(g, GameConfig(k=4), budget=1_500_000)
         with pytest.raises(StateBudgetError) as chain:
             preceq_fixpoint_wins(g, 4, budget=1_500_000)
         peak = tracemalloc.get_traced_memory()[1]
@@ -615,18 +637,26 @@ def test_work_budget_refuses_before_allocation():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert (solve.value.counted, solve.value.estimated) == ("bytes", 3_655_808)
+    assert (verdict.value.counted, verdict.value.estimated) == ("bytes", 3_655_808)
     assert (chain.value.counted, chain.value.estimated) == ("bytes", 1_827_904)
     assert "3655808 bytes exceeds budget" in str(solve.value)
 
 
 def test_rounds_keep_one_vector_each(petersen_graph):
     # Petersen with k = 3: a 2,000-byte vector per kept C round, three
-    # rounds, plus the R vector in flight.  The preceq chain keeps no
-    # levels, so its states (220 positions, 10 robber vertices) bind
+    # rounds, plus the R vector in flight.  The verdict stops at C_1, the
+    # first round with a full field (3 cops dominate Petersen), and so
+    # is charged C_0 and R_0 alone: its states (220 positions, 10 robber
+    # vertices, two sides) bind.  The preceq chain keeps no levels, so
+    # its states (one side) bind
     assert cops_win(petersen_graph, GameConfig(k=3), budget=8_000).cops_win
     with pytest.raises(StateBudgetError) as solve:
         cops_win(petersen_graph, GameConfig(k=3), budget=7_999)
     assert (solve.value.counted, solve.value.estimated) == ("bytes", 8_000)
+    assert wins(petersen_graph, GameConfig(k=3), budget=4_400)
+    with pytest.raises(StateBudgetError) as verdict:
+        wins(petersen_graph, GameConfig(k=3), budget=4_399)
+    assert (verdict.value.counted, verdict.value.estimated) == ("states", 4_400)
     assert preceq_fixpoint_wins(petersen_graph, 3, budget=2_200)
     with pytest.raises(StateBudgetError) as chain:
         preceq_fixpoint_wins(petersen_graph, 3, budget=2_199)
