@@ -7,15 +7,13 @@ Two enumeration styles:
   integers in order, so this is for n <= 8 only (practical up to ~7).
 
 * ``connected_graph_classes(n)`` -- one canonically-labelled
-  representative per isomorphism class, built by vertex augmentation
-  with canonical-form dedup.  Scans that check isomorphism-invariant
-  properties run over these.  Only augmentations whose new vertex has
-  minimum degree are tried: deleting a minimum-degree vertex from any
-  graph on n vertices leaves a graph on n - 1, so no class is missed.
+  representative per isomorphism class, by canonical augmentation
+  (McKay, "Isomorph-free exhaustive generation", 1998).  Scans that
+  check isomorphism-invariant properties run over these.
 
 The canonical form is a minimum adjacency code over orderings that
 respect an iterated degree refinement.  Refinement only prunes the
-search; it never merges non-isomorphic graphs.  Three exact cuts leave
+search; it never merges non-isomorphic graphs.  Five exact cuts leave
 the chosen ordering unchanged:
 
 * the refinement stops at the first round that splits no cell, since
@@ -24,17 +22,35 @@ the chosen ordering unchanged:
   no search;
 * the search skips a vertex that is a twin of one already tried at the
   same node, since swapping twins is an automorphism that fixes the
-  placed prefix and so repeats the earlier subtree's codes.
+  placed prefix and so repeats the earlier subtree's codes;
+* a prefix whose code exceeds the best leaf's so far is pruned, against
+  the best as it stands when the prefix is placed;
+* a leaf equal to the best ends the search below its first difference
+  from the best, whose subtree an automorphism maps onto one searched.
 
-A fourth cut leaves the class list unchanged: each base tries one child
-per orbit of its neighbour sets under the automorphisms the search
-yields.  Sets in one Aut(base)-orbit give isomorphic children, and a
-subgroup's orbits only split Aut's, so it would still be exact.
+Each class on n vertices is generated once, with no set of seen forms:
+
+* every class on n - 1 gains a new vertex x of minimum degree, one
+  child per Aut(base)-orbit of its admissible neighbour sets, read from
+  the generators the canonical search yields (sets in one orbit give
+  isomorphic children).  Deleting a minimum-degree vertex from a graph
+  on n vertices leaves one on n - 1, so no class is missed;
+* a graph's canonical deletion vertex is the first in canonical_order
+  among its minimum-degree vertices of the top invariant: the sum of the
+  neighbours' degrees, then the triangles through the vertex.  A child
+  is kept when x is in the Aut(child)-orbit of that vertex.  A child
+  where another vertex beats x's invariant is dropped before it is
+  built, and one where x alone holds the top invariant needs no orbit.
+
+A kept child G is then a child of the class of G minus its deletion
+vertex only, and within that base of the one orbit of neighbour sets
+whose child maps x to the deletion vertex, so it comes out once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .graph6 import _masks
 from .graphs import Graph, bits, is_connected
@@ -91,15 +107,20 @@ def canonical_order(g):
     go to the first minimum ordering in a depth-first search that places
     the refined cells in color order, each cell's vertices ascending.
 
-    Three cuts leave that ordering unchanged:
+    The module's five cuts leave that ordering unchanged.  Of them:
 
-    * the refinement stops at the first round that splits no cell: a
-      later round would split none either, so the cells are final;
-    * a discrete refinement is the order itself: it admits one ordering;
     * at each search node a candidate is skipped when it is a twin of
       one already tried there (v and w are twins when N(v) - {w} =
       N(w) - {v}): swapping them is an automorphism fixing the placed
-      prefix, so the later subtree repeats the earlier one's codes.
+      prefix, so the later subtree repeats the earlier one's codes;
+    * a candidate whose row makes the code exceed the best so far is
+      pruned, and the bound is the current best: when a leaf below a
+      node improves the best, the node's later candidates are compared
+      against the new best;
+    * a leaf equal to the best, first differing from it at depth i,
+      ends the search below depth i: the automorphism mapping the best
+      ordering to that leaf fixes the prefix and maps the subtree the
+      best lies in onto the current one, whose codes it repeats.
     """
     return _order_and_neighbors(g)[0]
 
@@ -113,7 +134,9 @@ def _order_and_neighbors(g):
     a twin swap's image of a searched one.  So the twin swaps and one
     equal leaf per first difference (position, vertex) from the best
     ordering hold a transversal of each stabiliser along it: they
-    generate Aut(g)."""
+    generate Aut(g).  Every leaf below a first difference (i, w) has
+    that first difference, so leaving its subtree loses no generator,
+    and the bound prunes only leaves worse than the best."""
     n = g.n
     adj = g.adj
     nbrs = [bits(m) for m in adj]
@@ -152,21 +175,28 @@ def _order_and_neighbors(g):
     weight = [0] * n
     best_code = None
     best_order = None
-    leaves = {}
+    leaves = []  # one equal leaf per first difference from best_order
+    unwind = n  # the depth an equal leaf sends the search back to
 
     def dfs(depth, equal_prefix):
-        nonlocal best_code, best_order
+        """Search below the placed prefix, whose rows equal best_code's
+        (equal_prefix) or are smaller; True when a leaf below becomes
+        the best.  Every leaf reached is at most the best."""
+        nonlocal best_code, best_order, unwind
         if depth == n:
             code = tuple(rows)
             if best_code is None or code < best_code:
                 best_code = code
                 best_order = placed[:]
                 leaves.clear()
-            elif code == best_code:
-                # keep one leaf per first difference from best_order
-                i = next(i for i, v in enumerate(placed) if v != best_order[i])
-                leaves.setdefault((i, placed[i]), placed[:])
-            return
+                return True
+            # the first difference (i, placed[i]) is new: the search
+            # leaves each one at its first equal leaf
+            i = next(i for i, v in enumerate(placed) if v != best_order[i])
+            leaves.append(placed[:])
+            unwind = i
+            return False
+        improved = False
         tried = set()
         for v in cell_at[depth]:
             if weight[v] or twin[v] in tried:
@@ -181,20 +211,29 @@ def _order_and_neighbors(g):
             placed[depth] = v
             rows[depth] = row
             weight[v] = 1 << n - 1 - depth
-            dfs(depth + 1, eq)
+            if dfs(depth + 1, eq):
+                improved = equal_prefix = True
             weight[v] = 0
+            if unwind < depth:
+                return improved
+            unwind = n
+        return improved
 
     dfs(0, True)
     if leaves:
         position = sorted(range(n), key=best_order.__getitem__)
-        gens += [[leaf[i] for i in position] for leaf in leaves.values()]
+        gens += [[leaf[i] for i in position] for leaf in leaves]
     return best_order, nbrs, gens
 
 
 def canonical_graph(g):
     """Relabel g canonically (isomorphic graphs map to equal Graphs)."""
-    order, nbrs, _ = _order_and_neighbors(g)
-    bit = [0] * g.n
+    return _relabel(*_order_and_neighbors(g)[:2])
+
+
+def _relabel(order, nbrs):
+    """The graph whose vertex i is order[i]."""
+    bit = [0] * len(order)
     for i, v in enumerate(order):
         bit[v] = 1 << i
     return Graph.from_masks([sum(map(bit.__getitem__, nbrs[v])) for v in order])
@@ -204,41 +243,111 @@ def canonical_graph(g):
 def graph_classes(n):
     """All isomorphism classes of simple graphs on n vertices, as
     canonically-labelled representatives (connected or not).  Each class
-    on n - 1 tries one child per Aut-orbit (the module's fourth cut)."""
+    comes out once, as the child of the class left by deleting its
+    canonical deletion vertex (see the module docstring)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (Graph(1),)
-    reps = {canonical_graph(child) for base in graph_classes(n - 1) for child in _children(base)}
+    x = n - 1
+    reps = []
+    for base in graph_classes(n - 1):
+        for child, rivals in _children(base):
+            order, nbrs, gens = _order_and_neighbors(child)
+            if rivals:
+                # the deletion vertex is the first tied vertex in the
+                # canonical order; keep the child when x is in its orbit
+                tied = rivals | 1 << x
+                if x not in _orbit(next(v for v in order if tied >> v & 1), gens):
+                    continue
+            reps.append(_relabel(order, nbrs))
     return tuple(sorted(reps, key=lambda g: g.adj))
 
 
+def _orbit(v, gens):
+    """The orbit of v under the group the permutations gens generate."""
+    orbit = {v}
+    todo = [v]
+    for u in todo:
+        for perm in gens:
+            if perm[u] not in orbit:
+                orbit.add(perm[u])
+                todo.append(perm[u])
+    return orbit
+
+
+def _neighbour_sets(degs):
+    """The admissible neighbour sets S of a new vertex, by size s = |S|:
+    it has minimum degree s when every base vertex u has deg(u) + [u in
+    S] >= s.  With d the base's minimum degree, those are every set of
+    at most d vertices, and the sets of d + 1 holding every vertex of
+    degree d."""
+    d = min(degs)
+    vertex_bits = [1 << u for u in range(len(degs))]
+    for s in range(d + 1):
+        yield from map(sum, combinations(vertex_bits, s))
+    low = sum(1 << u for u, e in enumerate(degs) if e == d)
+    rest = [b for b in vertex_bits if not low & b]
+    if low.bit_count() <= d + 1:
+        for more in combinations(rest, d + 1 - low.bit_count()):
+            yield low | sum(more)
+
+
 def _children(base):
-    """base plus a new vertex n - 1 of minimum degree: one child for each
-    Aut(base)-orbit of the admissible neighbour sets S, which all give
-    isomorphic children."""
-    n = base.n + 1
-    new_bit = 1 << (n - 1)
+    """The children of base that can pass the deletion rule: base plus a
+    new vertex x = n - 1 of minimum degree, one for each Aut(base)-orbit
+    of the admissible neighbour sets S (sets in one orbit give
+    isomorphic children), where no vertex of minimum degree beats x's
+    invariant.  Each comes with the mask of the vertices tying it.
+
+    The invariant of a vertex is (sum of its neighbours' degrees,
+    triangles through it), read from S and base's own counts before the
+    child is built."""
+    adj = base.adj
     degs = base.degrees()
-    # below[s]: mask of base vertices of degree < s
-    below = [sum(1 << u for u, d in enumerate(degs) if d < s) for s in range(n)]
-    images = [[1 << x for x in perm] for perm in _order_and_neighbors(base)[2]]
+    deg_sum = [sum(degs[w] for w in bits(m)) for m in adj]
+    tri = [sum((adj[w] & m).bit_count() for w in bits(m)) // 2 for m in adj]
+    of_deg = [0] * (base.n + 1)
+    for u, d in enumerate(degs):
+        of_deg[d] |= 1 << u
+    new_bit = 1 << base.n
+    images = None
     seen = set()
-    for nb_mask in range(1 << (n - 1)):
-        # the new vertex must have minimum degree s: every base vertex
-        # u needs deg(u) + [u in S] >= s
-        s = nb_mask.bit_count()
-        if below[s] & ~nb_mask or (s and below[s - 1]) or nb_mask in seen:
+    for nb_mask in _neighbour_sets(degs):
+        if nb_mask in seen:
             continue
-        orbit = [nb_mask]
-        seen.add(nb_mask)
-        for m in orbit:
-            new = {sum(img[u] for u in bits(m)) for img in images} - seen
-            seen |= new
-            orbit += new
-        masks = [m | new_bit if nb_mask >> u & 1 else m for u, m in enumerate(base.adj)]
-        masks.append(nb_mask)
-        yield Graph.from_masks(masks)
+        s = nb_mask.bit_count()
+        # x's invariant: its neighbours are S, its triangles the edges in S
+        x_sum = s
+        x_tri = 0
+        for u in bits(nb_mask):
+            x_sum += degs[u]
+            x_tri += (adj[u] & nb_mask).bit_count()
+        top = (x_sum, x_tri // 2)
+        # base vertices of degree s in the child: degree s - 1 in S,
+        # degree s outside it.  The test gives one answer on a whole
+        # orbit of sets, so a set that fails needs no orbit.
+        rivals = 0
+        for u in bits(of_deg[s - 1] & nb_mask | of_deg[s] & ~nb_mask):
+            common = (adj[u] & nb_mask).bit_count()
+            inside = nb_mask >> u & 1
+            key = (deg_sum[u] + common + s * inside, tri[u] + common * inside)
+            if key > top:
+                break
+            if key == top:
+                rivals |= 1 << u
+        else:
+            if images is None:  # base is searched once one set passes
+                images = [[1 << x for x in perm] for perm in _order_and_neighbors(base)[2]]
+            orbit = [nb_mask]
+            seen.add(nb_mask)
+            for m in orbit:
+                new = {sum(img[u] for u in bits(m)) for img in images} - seen
+                seen |= new
+                orbit += new
+            masks = [m | new_bit if nb_mask >> u & 1 else m for u, m in enumerate(adj)]
+            masks.append(nb_mask)
+            yield Graph.from_masks(masks), rivals
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,10 @@ the 64-vertex figure only appears as the default parser cap in graph6.
 
 Every walk over the set bits of a mask goes through ``bits``.  One
 breadth-first walk, ``layers``, yields the distance layers from a source
-as bitmasks; reachability, distances, bipartiteness and girth are each a
-few lines on top of it.  ``diameter`` walks from every source, so for
-speed it inlines the BFS rather than resume a generator once a layer.
+as bitmasks; reachability, distances and girth are each a few lines on
+top of it.  ``diameter`` walks from every source, and ``is_bipartite``
+tests each layer's rows as it builds the next, so for speed both inline
+the BFS rather than resume a generator once a layer.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ _BYTE_BITS, _SECOND_BYTE = _byte_bits(0), _byte_bits(8)
 def layers(g, src):
     """The BFS layers from src as bitmasks: {src}, then the vertices at
     distance 1, 2, ... from it; the distance questions below read them,
-    all but diameter, which inlines the walk."""
+    all but diameter and is_bipartite, which inline the walk."""
     adj = g.adj
     seen = frontier = 1 << src
     while frontier:
@@ -174,17 +175,25 @@ def diameter(g):
 
 
 def is_bipartite(g):
-    """No edge joins two vertices of one BFS layer, in every component."""
+    """No edge joins two vertices of one BFS layer, in every component.
+    The walk of ``layers`` is inlined, so that each vertex's row is read
+    once: for the in-layer test and for the next frontier."""
     adj = g.adj
     seen = 0
     for s in range(g.n):
         if seen >> s & 1:
             continue
-        for layer in layers(g, s):
-            seen |= layer
-            for v in bits(layer):
-                if adj[v] & layer:
+        frontier = 1 << s
+        seen |= frontier
+        while frontier:
+            new = 0
+            for v in bits(frontier):
+                row = adj[v]
+                if row & frontier:
                     return False
+                new |= row
+            frontier = new & ~seen
+            seen |= frontier
     return True
 
 

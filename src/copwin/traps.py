@@ -215,18 +215,30 @@ def trap_threshold(g, v):
 def check_lemma5(n, thresholds):
     """The trap-count lemma over every integer alpha in [sqrt(n), n],
     from a graph's per-vertex thresholds: (holds, min_margin), where
-    min_margin is the least count - (alpha - 1)."""
+    min_margin is the least count - (alpha - 1).  The thresholds are
+    counted once; the count at each alpha is a running sum."""
     lo = math.isqrt(n)
     if lo * lo < n:
         lo += 1
-    counts = [
-        (alpha, sum(1 for t in thresholds if t <= alpha))
-        for alpha in range(lo, n + 1)
-    ]
-    # count > alpha - sqrt(n - alpha) - 1, that is sqrt(n - alpha) >
-    # alpha - 1 - count, compared by squares (no floating point)
-    holds = all(a - 1 - c < 0 or n - a > (a - 1 - c) ** 2 for a, c in counts)
-    return holds, min(c - (a - 1) for a, c in counts)
+    count = 0  # thresholds <= alpha, from alpha = lo - 1 on
+    at = [0] * (n + 1)  # at[a]: thresholds equal to a, for lo <= a <= n
+    for t in thresholds:
+        if t < lo:
+            count += 1
+        elif t <= n:
+            at[t] += 1
+    holds = True
+    least = math.inf  # the range below is never empty, so it ends an int
+    for a in range(lo, n + 1):
+        count += at[a]
+        margin = count - (a - 1)
+        # count > alpha - sqrt(n - alpha) - 1, that is sqrt(n - alpha) >
+        # -margin, compared by squares (no floating point)
+        if margin <= 0 and n - a <= margin * margin:
+            holds = False
+        if margin < least:
+            least = margin
+    return holds, least
 
 
 def check_lemma4(g):

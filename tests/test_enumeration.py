@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import (
     _children,
+    _neighbour_sets,
     _order_and_neighbors,
     canonical_graph,
     canonical_order,
@@ -15,7 +16,7 @@ from copwin.enumeration import (
     enumerate_connected,
     graph_classes,
 )
-from copwin.families import complete, cycle, incidence, path, petersen
+from copwin.families import complete, cycle, incidence, path, petersen, polarity
 from copwin.graph6 import emit_graph6
 from copwin.graphs import Graph, is_connected
 
@@ -124,6 +125,32 @@ def _brute_force_order(g):
     return list(min((sum(p, ()) for p in orderings), key=lambda o: _code(g, o)))
 
 
+def _reference_order(g):
+    """The first ordering of least code in a depth-first search over every
+    ordering that places the refined cells in order, each cell's vertices
+    ascending.  A prefix is left only when its code already exceeds the
+    best leaf's prefix, so no minimum is lost and a tie keeps the first."""
+    cell_at = [cell for cell in _refined_cells(g) for _ in cell]
+    best = []
+
+    def search(order, code):
+        i = len(order)
+        if i == g.n:
+            if not best or code < best[0]:
+                best[:] = [code, order]
+            return
+        for v in cell_at[i]:
+            if v in order:
+                continue
+            row = sum((g.adj[v] >> order[j] & 1) << (i - 1 - j) for j in range(i))
+            if best and code + (row,) > best[0][: i + 1]:
+                continue
+            search(order + [v], code + (row,))
+
+    search([], ())
+    return best[1]
+
+
 def _complete_multipartite(*parts):
     n = sum(parts)
     part = [i for i, size in enumerate(parts) for _ in range(size)]
@@ -150,10 +177,19 @@ NAMED_GRAPHS = {
 }
 
 
+# Petersen and Heawood refine to one cell, Polarity(3) to three; each is
+# relabelled once, by a seeded shuffle
+SEARCH_GRAPHS = {
+    name: relabel(g, random.Random(name).sample(range(g.n), g.n))
+    for name, g in (("Petersen", petersen()), ("Polarity(3)", polarity(3)), ("Heawood", incidence(2)))
+}
+
+
 class TestCanonicalExactness:
     """canonical_order against a brute-force minimum over every ordering
-    consistent with the refined cells: the refinement's early stop, the
-    discrete shortcut and the twin rule must not change the answer."""
+    consistent with the refined cells, and against a plain search for it:
+    the refinement's early stop, the discrete shortcut, the twin rule, the
+    current-best bound and the equal-leaf exit must not change the answer."""
 
     @given(st.integers(1, 7), st.integers(0, 1 << 21), st.randoms())
     @settings(max_examples=100, deadline=None)
@@ -163,12 +199,19 @@ class TestCanonicalExactness:
         perm = list(range(n))
         rnd.shuffle(perm)
         g = relabel(g, perm)
-        assert canonical_order(g) == _brute_force_order(g)
+        assert canonical_order(g) == _brute_force_order(g) == _reference_order(g)
 
     @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
     def test_named_graphs(self, name):
         g = NAMED_GRAPHS[name]
         assert canonical_order(g) == _brute_force_order(g)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+    def test_search_matches_reference_search(self, name):
+        """Graphs too large for the brute force, whose search leaves many
+        subtrees by the current-best bound and by equal leaves."""
+        g = SEARCH_GRAPHS[name]
+        assert canonical_order(g) == _reference_order(g)
 
 
 class TestClasses:
@@ -197,6 +240,21 @@ class TestClasses:
         )
         with open(CONNECTED_LE7, newline="") as fh:
             assert text == fh.read()
+
+    def test_classes_equal_the_dedup_route(self):
+        """The deletion rule keeps exactly one child per class: the
+        classes equal those of the route without it, where every
+        admissible child of every class on n - 1 is canonicalised into a
+        set, then sorted."""
+        classes = [Graph(1)]
+        for n in range(2, 8):
+            reps = set()
+            for base in classes:
+                for nb_mask in _admissible(base):
+                    masks = [m | 1 << base.n if nb_mask >> u & 1 else m for u, m in enumerate(base.adj)]
+                    reps.add(canonical_graph(Graph.from_masks(masks + [nb_mask])))
+            classes = sorted(reps, key=lambda g: g.adj)
+            assert graph_classes(n) == tuple(classes)
 
     def test_classes_n8_pinned(self):
         text = "".join(emit_graph6(g) + "\n" for g in graph_classes(8))
@@ -245,6 +303,16 @@ class TestAutomorphisms:
         assert all(_is_automorphism(g, p) for p in gens)
         assert _group_order(gens, g.n) == order
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_class(self, n):
+        """The enumeration's acceptance test reads its orbits from these
+        generators, so they must span Aut(g) on every class it builds."""
+        for g in graph_classes(n):
+            brute = sum(_is_automorphism(g, p) for p in itertools.permutations(range(n)))
+            gens = _order_and_neighbors(g)[2]
+            assert all(_is_automorphism(g, p) for p in gens)
+            assert _group_order(gens, n) == brute
+
     @given(st.integers(1, 7), st.integers(0, 1 << 21), st.randoms())
     @settings(max_examples=60, deadline=None)
     def test_random_graphs(self, n, mask, rnd):
@@ -270,30 +338,57 @@ def _admissible(base):
     ]
 
 
+def _invariant(g, v):
+    """(sum of neighbour degrees, triangles through v)."""
+    nbrs = g.neighbors(v)
+    return (
+        sum(g.adj[u].bit_count() for u in nbrs),
+        sum((g.adj[u] & g.adj[v]).bit_count() for u in nbrs) // 2,
+    )
+
+
+def _rivals(child):
+    """None when a vertex of minimum degree has a larger invariant than
+    the new vertex x; else the mask of the other such vertices tying x."""
+    x = child.n - 1
+    low = min(child.degrees())
+    tops = [v for v in range(child.n) if child.adj[v].bit_count() == low]
+    best = max(_invariant(child, v) for v in tops)
+    if _invariant(child, x) != best:
+        return None
+    return sum(1 << v for v in tops if v != x and _invariant(child, v) == best)
+
+
 # (children tried, admissible neighbour sets) over all bases on n - 1
-CHILDREN_TOTALS = {6: (184, 348), 7: (1401, 2690), 8: (18272, 29755)}
+CHILDREN_TOTALS = {6: (157, 348), 7: (1064, 2690), 8: (12786, 29755)}
 
 
 class TestOrbitPruning:
     """Each base tries one child per orbit of its admissible neighbour
-    sets under Aut(base)."""
+    sets under Aut(base), among the orbits whose new vertex has the top
+    invariant of the minimum-degree vertices."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_one_child_per_orbit(self, n):
+        new_bit = 1 << (n - 1)
         for base in graph_classes(n - 1):
+            assert sorted(_neighbour_sets(base.degrees())) == _admissible(base)
             auts = [
                 p for p in itertools.permutations(range(n - 1)) if _is_automorphism(base, p)
             ]
-            orbit = {
-                s: frozenset(sum(1 << p[u] for u in range(n - 1) if s >> u & 1) for p in auts)
-                for s in _admissible(base)
-            }
+            orbit = {}
+            for s in _admissible(base):
+                masks = [m | new_bit if s >> u & 1 else m for u, m in enumerate(base.adj)]
+                if _rivals(Graph.from_masks(masks + [s])) is not None:
+                    orbit[s] = frozenset(
+                        sum(1 << p[u] for u in range(n - 1) if s >> u & 1) for p in auts
+                    )
             children = list(_children(base))
-            new_bit = 1 << (n - 1)
             assert all(
-                [m & ~new_bit for m in c.adj[:-1]] == list(base.adj) for c in children
+                [m & ~new_bit for m in c.adj[:-1]] == list(base.adj) for c, _ in children
             )
-            tried = [orbit[c.adj[-1]] for c in children]
+            assert all(rivals == _rivals(c) for c, rivals in children)
+            tried = [orbit[c.adj[-1]] for c, _ in children]
             assert sorted(tried, key=sorted) == sorted(set(orbit.values()), key=sorted)
 
     @pytest.mark.parametrize("n", sorted(CHILDREN_TOTALS))

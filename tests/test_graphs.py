@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copwin.enumeration import canonical_graph, connected_graph_classes
+from copwin.enumeration import canonical_graph, connected_graph_classes, graph_classes
 from copwin.errors import DisconnectedGraphError
 from copwin.families import complete, cycle, path
 from copwin.graph6 import emit_graph6, parse_graph6
@@ -196,6 +196,30 @@ class TestMetrics:
         assert is_bipartite(cycle(4))
         assert not is_bipartite(cycle(5))
         assert is_bipartite(heawood_graph)
+
+    def test_bipartite_matches_two_colouring_on_every_class(self):
+        # oracle: colour each component from its least vertex by a stack
+        # walk, and fail on an edge between equal colours
+        def two_colourable(g):
+            colour = [-1] * g.n
+            for s in range(g.n):
+                if colour[s] >= 0:
+                    continue
+                colour[s] = 0
+                stack = [s]
+                while stack:
+                    u = stack.pop()
+                    for v in g.neighbors(u):
+                        if colour[v] < 0:
+                            colour[v] = 1 - colour[u]
+                            stack.append(v)
+                        elif colour[v] == colour[u]:
+                            return False
+            return True
+
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                assert is_bipartite(g) == two_colourable(g)
 
     @given(graph_strategy(7))
     def test_bipartite_matches_odd_cycle_freedom(self, g):
