@@ -76,10 +76,9 @@ ends in the closed neighbourhood of a cop.  So a cops-to-move state
 depends only on the robber's vertex r, and the cops win from r within
 one more round exactly when his moves outside the won set W lie in k
 closed neighbourhoods of vertices other than r.  W grows from the empty
-set by such r, each tested with one traps._min_transversal_masks call,
+set by such r, each tested by traps.min_cover (the one cover query),
 and k cops win exactly when k closed neighbourhoods cover the arena
-outside the final W (_teleport_wins, at most TRANSVERSAL_MAX_N
-vertices).
+outside the final W (_teleport_wins, within min_cover's caps).
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -94,13 +93,14 @@ wins (or _teleport_wins), so no solve runs past its deciding round:
   c(G) = c(core).  A one-vertex core (G dismantlable) gives LB = UB = 1
   (Nowakowski and Winkler, 1983).  Otherwise LB is 2, raised to the
   core's minimum degree when its girth is at least 5 (Aigner and
-  Fromme, 1984).  The k=1 cross-check still solves on G.
+  Fromme, 1984); a degree of 2 raises nothing, so the girth is taken
+  only from 3 up.  The k=1 cross-check still solves on G.
 * Every other game (teleport, a restricted arena, a no-pass robber) is
   on G with LB = 1: the corner argument does not hold there.
 * UB is the least number of vertices whose closed neighbourhoods cover
   the robber's arena (the domination number for the full arena): cops
-  placed there catch the robber on their first move.  The cover search
-  stops at a cover of LB vertices; after COVER_MAX_NODES
+  placed there catch the robber on their first move.  The cover search,
+  traps.min_cover, stops at a cover of LB vertices; after COVER_MAX_NODES
   branch-and-bound nodes it gives up, and the search runs with no UB.
 """
 
@@ -113,7 +113,7 @@ from itertools import combinations, combinations_with_replacement, count, produc
 
 from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
 from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
-from .traps import TRANSVERSAL_MAX_EDGES, TRANSVERSAL_MAX_N, _min_transversal_masks
+from .traps import min_cover
 
 DEFAULT_STATE_BUDGET = 50_000_000
 DISMANTLABLE_CROSS_CHECK_MAX_N = 32
@@ -546,19 +546,14 @@ def _teleport_wins(g, cfg):
     """Whether cfg.k teleporting cops win on g: the fixpoint of covers
     of the module docstring, W the robber vertices won so far."""
     arena, rob_moves = _robber_moves(g, cfg)
-
-    def covered(mask, avoid):
-        # k closed neighbourhoods of vertices outside avoid cover mask
-        edges = [g.closed_mask(u) & ~avoid for u in bits(mask)]
-        return 0 not in edges and _min_transversal_masks(g.n, edges, cfg.k)[0] <= cfg.k
-
+    k = cfg.k
     won, last = 0, None
     while won != last:
         last = won
         for r, moves in rob_moves.items():
-            if not won >> r & 1 and covered(moves & ~won, 1 << r):
+            if not won >> r & 1 and min_cover(g, moves & ~won, 1 << r, k)[0] <= k:
                 won |= 1 << r
-    return covered(sum(1 << v for v in arena.vertices) & ~won, 0)
+    return min_cover(g, sum(1 << v for v in arena.vertices) & ~won, 0, k)[0] <= k
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
@@ -595,17 +590,15 @@ def _bounds(g, template):
         h = g if keep == (1 << g.n) - 1 else induced_subgraph(g, bits(keep))
         if h.n == 1:
             return 1, 1, h
-        lb = 2
-        if girth(h) >= 5:
-            lb = max(lb, min(h.degrees()))
+        delta = min(h.degrees())  # at least 2: a leaf is a corner
+        lb = delta if delta >= 3 and girth(h) >= 5 else 2
         g = h  # UB is the core's too
-    verts = range(g.n) if arena is None else arena.vertices
-    ub = None
-    if g.n <= TRANSVERSAL_MAX_N and len(verts) <= TRANSVERSAL_MAX_EDGES:
-        cover = [g.closed_mask(a) for a in verts]
-        found = _min_transversal_masks(g.n, cover, lb, COVER_MAX_NODES)
-        ub = found[0] if found else None
-    return lb, ub, h
+    amask = (1 << g.n) - 1 if arena is None else sum(1 << v for v in arena.vertices)
+    try:
+        found = min_cover(g, amask, 0, lb, COVER_MAX_NODES)
+    except ValueError:  # above the transversal solver's caps
+        found = None
+    return lb, found[0] if found else None, h
 
 
 def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
@@ -689,8 +682,8 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
 
 
 def teleport_cop_number(g, allow_disconnected=False):
-    """c_T(G): least number of teleporting cops that win.  Above
-    TRANSVERSAL_MAX_N vertices the transversal solver raises ValueError.
+    """c_T(G): least number of teleporting cops that win.  Above the
+    transversal solver's caps (see traps.min_cover) it raises ValueError.
 
     Teleporting cops jump between components, so for a disconnected
     graph (with allow_disconnected) c_T is searched on the whole graph:

@@ -258,9 +258,7 @@ def verify_key_inequality(m_max):
     isqrt = math.isqrt
     for m in range(4, m_max + 1):
         t = isqrt(2 * m)
-        inner = m - t - 2
-        if inner < 0:
-            inner = 0
+        inner = m - t - 2  # >= 0: isqrt(2m) <= m - 2 for m >= 4
         if 1 + isqrt(2 * inner) > t:
             bad.append(m)
     return bad

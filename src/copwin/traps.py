@@ -2,12 +2,13 @@
 
 A vertex v is an s-trap when floor(s) cops placed on G - {v} control
 every neighbour of v (a cop controls a vertex by sitting on it or next
-to it).  The per-vertex trap threshold is computed as an exact minimum
-hitting set of the hypergraph whose edges are the closed neighbourhoods
-of v's neighbours, with v itself excluded, by the one transversal
-solver.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of
-the 95,717 over the connected classes n <= 8), and the solver answers
-covers of up to two vertices from ANDs of the edges, without search.
+to it).  Its threshold is one min_cover query, the package's one cover
+query: the least number of vertices outside a set avoid (here v) whose
+closed neighbourhoods hold a set mask (here N(v)), an exact minimum
+hitting set by the one transversal solver.  Nearly all thresholds of
+small graphs are 1 or 2 (93,338 of the 95,717 over the connected
+classes n <= 8), and the solver answers covers of up to two vertices
+from ANDs of the edges, without search.
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -104,12 +105,11 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
 
     floor is a lower bound on the answer known to the caller: the first
     cover of at most floor vertices ends the search.  For an exact
-    minimum it must not exceed the true minimum, as solver._bounds
-    guarantees (LB <= c <= gamma); above it, the search may stop at a
-    larger cover, but of at most floor vertices when one exists: all
-    solver._teleport_wins asks.  With
-    max_nodes, the search gives up and returns None after that many
-    inner nodes.
+    minimum it must not exceed the true minimum, as the solver's cover
+    bound guarantees (LB <= c <= gamma); above it, the search may stop
+    at a larger cover, but of at most floor vertices when one exists:
+    all the teleport fixpoint asks.  With max_nodes, the search gives up
+    and returns None after that many inner nodes.
 
     One exit rule answers covers of up to two vertices without search,
     on the edges as given.  No edges: size 0.  One vertex: when the AND
@@ -197,19 +197,28 @@ def chvatal_bound(h):
     return Fraction((k // 2) * m + h.n, (3 * k) // 2)
 
 
+def min_cover(g, mask, avoid=0, floor=0, max_nodes=None):
+    """The least number of vertices outside avoid whose closed
+    neighbourhoods hold every vertex of mask, as the transversal
+    search's (size, witness) on the edges N[u] - avoid, u in mask in
+    ascending order; floor and max_nodes as there.  None when the search
+    gives up, and (math.inf, None) when some N[u] lies inside avoid."""
+    adj, keep = g.adj, ~avoid
+    edges = []
+    for u in bits(mask):  # on Python 3.11 a comprehension costs trap_threshold ~15%
+        edges.append((adj[u] | 1 << u) & keep)
+    if 0 in edges:
+        return math.inf, None
+    return _min_transversal_masks(g.n, edges, floor, max_nodes)
+
+
 def trap_threshold(g, v):
     """Minimum cop count on G - {v} controlling all neighbours of v: the
-    minimum transversal of the closed neighbourhoods of v's neighbours,
-    v removed."""
+    least cover of N(v) by closed neighbourhoods of vertices other than
+    v (each N[u] holds u, so the cover is finite)."""
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
-    # each edge still holds its own u, so none is empty
-    adj = g.adj
-    drop = ~(1 << v)
-    edges = []
-    for u in bits(adj[v]):
-        edges.append((adj[u] | 1 << u) & drop)
-    return _min_transversal_masks(g.n, edges)[0]
+    return min_cover(g, g.adj[v], 1 << v)[0]
 
 
 def check_lemma5(n, thresholds):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 
 import copwin
+import copwin.cli
 from copwin import families
 from copwin.cli import (
     ALL_CHECKS,
@@ -59,6 +61,11 @@ class TestSolve:
         code, text = run(["solve", "--input", petersen_file, "--json"])
         rec = json.loads(text.strip())
         assert rec["c"] == 3 and rec["n"] == 10
+
+    def test_timing_adds_time(self, petersen_file):
+        code, text = run(["solve", "--input", petersen_file, "--timing"])
+        assert code == EXIT_OK
+        assert re.fullmatch(r"graph=\S+ n=10 c=3 status=ok time=\d+\.\d{3}\n", text), text
 
     def test_teleport_variant_reports_both(self, petersen_file):
         code, text = run(
@@ -264,6 +271,28 @@ class TestScan:
         code, text = run(["scan", "--check", "conj_teleport", "--nmax", "5"])
         assert code == EXIT_OK
         assert "violations=0" in text
+
+    def test_teleport_violation_exits_violation(self, petersen_file, monkeypatch):
+        # c_T = 4 breaks both asserted halves on Petersen (c = 3, bound 3)
+        monkeypatch.setattr(copwin.cli, "teleport_cop_number", lambda g: 4)
+        code, text = run(["scan", "--check", "conj_teleport", "--input", petersen_file])
+        assert code == EXIT_VIOLATION
+        assert text.splitlines()[1:] == [
+            "graph=%s n=10 diameter=2 bipartite=false c=3 c_T=4 bound=3 verdict=fail"
+            % emit_graph6(petersen()),
+            "# summary check=conj_teleport checked=1 violations=1 candidates=0 unresolved=0",
+        ]
+
+    def test_preceq_mismatch_exits_violation(self, petersen_file, monkeypatch):
+        # one cop loses on Petersen; a fixpoint that says he wins differs at k = 1
+        monkeypatch.setattr(copwin.cli, "preceq_fixpoint_wins", lambda g, k, budget: True)
+        code, text = run(["scan", "--check", "preceq_equiv", "--input", petersen_file])
+        assert code == EXIT_VIOLATION
+        assert text.splitlines()[1:] == [
+            "graph=%s n=10 diameter=2 bipartite=false k=1 verdict=fail"
+            % emit_graph6(petersen()),
+            "# summary check=preceq_equiv checked=1 violations=1 candidates=0 unresolved=0",
+        ]
 
     def test_preceq_scan(self):
         code, text = run(["scan", "--check", "preceq_equiv", "--nmax", "4"])

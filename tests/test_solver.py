@@ -35,6 +35,7 @@ from copwin.solver import (
     wins,
 )
 from copwin.strategy import _GreedyRobber, _robber_policy, build_theorem1_plan
+from copwin.traps import min_cover
 
 
 class TestCopNumber:
@@ -94,7 +95,7 @@ class TestCopNumber:
         def refuse(*args, **kwargs):
             raise AssertionError("cover search ran")
 
-        monkeypatch.setattr(solver, "_min_transversal_masks", refuse)
+        monkeypatch.setattr(solver, "min_cover", refuse)
         lb, ub, h = _bounds(path(6), GameConfig())
         assert (lb, ub, h.n) == (1, 1, 1)
         assert cop_number(path(6)) == 1
@@ -142,17 +143,46 @@ def _least_winning_k(g, **cfg):
     return k
 
 
-def _brute_cover(g, verts):
-    """Least number of vertices whose closed neighbourhoods cover verts,
-    by trying every vertex set in order of size."""
+def _brute_cover(g, verts, avoid=0):
+    """Least number of vertices outside avoid whose closed neighbourhoods
+    cover verts, by trying every vertex set in order of size; math.inf
+    when none does."""
     need = sum(1 << v for v in verts)
-    for size in range(1, g.n + 1):
-        for picked in combinations(range(g.n), size):
+    allowed = [v for v in range(g.n) if not avoid >> v & 1]
+    for size in range(len(allowed) + 1):
+        for picked in combinations(allowed, size):
             covered = 0
             for v in picked:
                 covered |= g.closed_mask(v)
             if covered & need == need:
                 return size
+    return math.inf
+
+
+class TestMinCover:
+    def test_matches_brute_force(self):
+        # every connected class n <= 6: N(v) avoiding v (the trap
+        # threshold of v), and the whole vertex set (the domination number)
+        for n in range(1, 7):
+            for g in connected_graph_classes(n):
+                cases = [(g.adj[v], 1 << v) for v in range(n)] + [((1 << n) - 1, 0)]
+                for mask, avoid in cases:
+                    size, witness = min_cover(g, mask, avoid)
+                    assert size == _brute_cover(g, bits(mask), avoid), (g, mask, avoid)
+                    covered = 0
+                    for w in witness:
+                        assert not avoid >> w & 1
+                        covered |= g.closed_mask(w)
+                    assert len(witness) == size and covered & mask == mask
+
+    def test_no_cover_outside_avoid(self):
+        # N[0] of the path 0-1-2 lies inside {0, 1}: no vertex outside
+        # covers 0, though 2 alone covers 1
+        g = path(3)
+        assert min_cover(g, 0b011, 0b011) == (math.inf, None)
+        assert _brute_cover(g, [0, 1], 0b011) == math.inf
+        assert min_cover(g, 0b010, 0b011)[0] == 1 == _brute_cover(g, [1], 0b011)
+        assert min_cover(g, 0, 0b111) == (0, [])
 
 
 class TestBounds:
@@ -401,6 +431,14 @@ class TestLayeredMoves:
             want = {t: _or_all(masks[q] for q in _team_moves(g, t)) for t in positions}
             for t in tuples:
                 assert board.read(got, board.field(t)) == want[tuple(sorted(t))], (g, k, t)
+
+    def test_first_full_skips_a_match_across_two_fields(self):
+        # two lanes a field (n = 9): the mask's bytes FF 01 first occur
+        # across fields 0 and 1, then in field 2
+        board = _Board(cycle(9), 1)
+        vec = bytes([0x00, 0xFF, 0x01, 0x00, 0xFF, 0x01]) + bytes(12)
+        assert board.first_full(vec, 0x1FF) == (2,)
+        assert board.first_full(vec[:4] + bytes(14), 0x1FF) is None
 
     def test_petersen_rounds_match_product_table(self, petersen_graph):
         res = cops_win(petersen_graph, GameConfig(k=3))
