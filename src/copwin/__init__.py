@@ -5,7 +5,6 @@ exact hypergraph transversals."""
 
 from .errors import (
     CopwinError,
-    DisconnectedGraphError,
     Graph6Error,
     StateBudgetError,
     UnsupportedParameterError,

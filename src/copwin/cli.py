@@ -31,7 +31,7 @@ from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
 from .families import FAMILIES, generate
 from .graph6 import DEFAULT_MAX_N, emit_graph6, read_graph6_lines
-from .graphs import diameter, is_bipartite
+from .graphs import diameter, is_bipartite, is_connected
 from .solver import (
     DEFAULT_STATE_BUDGET,
     GameConfig,
@@ -93,7 +93,10 @@ def _graphs(args, out, found):
             raise ValueError("--nmax %d out of range for this command (1..%d)"
                              % (args.nmax, SCAN_MAX_N))
     if args.input:
-        return _read_input(open(args.input), args.json, out, found)
+        # a byte that is not UTF-8 becomes a lone surrogate, so its line
+        # fails to parse and the stream goes on
+        return _read_input(open(args.input, encoding="utf-8", errors="surrogateescape"),
+                           args.json, out, found)
     nmax = 6 if args.nmax is None else args.nmax
     return (g for n in range(1, nmax + 1) for g in connected_graph_classes(n))
 
@@ -133,11 +136,11 @@ def cmd_solve(args, out, found):
         rec = {"graph": emit_graph6(g), "n": g.n}
         t0 = time.perf_counter()
         try:
-            rec["c"] = cop_number(g, budget=args.budget, max_k=args.max_k,
-                                  allow_disconnected=args.allow_disconnected)
+            if not args.allow_disconnected and not is_connected(g):
+                raise CopwinError("cop number of a disconnected graph needs allow_disconnected")
+            rec["c"] = cop_number(g, budget=args.budget, max_k=args.max_k)
             if args.variant == "teleport":
-                rec["c_T"] = teleport_cop_number(
-                    g, allow_disconnected=args.allow_disconnected)
+                rec["c_T"] = teleport_cop_number(g)
             rec["status"] = "ok"
         except StateBudgetError as e:
             rec["status"] = "unresolved"

@@ -15,10 +15,6 @@ class Graph6Error(CopwinError, ValueError):
         self.offset = offset
 
 
-class DisconnectedGraphError(CopwinError, ValueError):
-    """Operation requires a connected graph."""
-
-
 class UnsupportedParameterError(CopwinError, ValueError):
     """Graph family parameter outside the supported range."""
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DisconnectedGraphError
-
 
 class Graph:
     """Immutable simple undirected graph.
@@ -262,7 +260,7 @@ def core(g):
 
 
 def is_dismantlable(g):
-    """Cop-win test (Nowakowski and Winkler, 1983): the core is K_1."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("is_dismantlable requires a connected graph")
+    """Cop-win test (Nowakowski and Winkler, 1983): the core is K_1.
+    Each component keeps a vertex of the core, so a disconnected graph
+    is not dismantlable."""
     return core(g).bit_count() == 1

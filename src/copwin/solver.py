@@ -111,7 +111,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
 
-from .errors import CopwinError, DisconnectedGraphError, StateBudgetError
+from .errors import CopwinError, StateBudgetError
 from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
 from .traps import min_cover
 
@@ -421,17 +421,19 @@ class SolveResult:
         return next(t for t in succ if self._level(t, r, "robber") == lv - 1)
 
     def _reply(self, pos, options):
-        """The robber's optimal choice among arena vertices, the cops at
-        pos to move next: the first he wins from, else the first of
-        greatest capture level.  It serves placement and moves alike: a
-        robber who wins a state to move has a move he wins from, and
-        every move from a state the cops win is a cop win."""
-
-        def level(r):
-            lv = self._round(pos, 1 << r)
-            return math.inf if lv is None else lv
-
-        return max(options, key=level)
+        """The robber's optimal choice in the mask options of arena
+        vertices, the cops at pos to move next: the first he wins from,
+        else the first of greatest capture level.  It serves placement
+        and moves alike: a robber who wins a state to move has a move he
+        wins from, and every move from a state the cops win is a cop win.
+        C_L only grows, so with L the first round holding every option,
+        the options of greatest level are those outside C_{L-1}; those he
+        wins from are those outside the fixpoint."""
+        lv = self._round(pos, options)
+        if lv != 0:  # lv None: the fixpoint, the last round
+            beaten = self._rounds[lv - 1 if lv else -1]
+            options &= ~self._board.read(beaten, self._board.field(pos))
+        return bits(options)[0]
 
     def robber_move(self, pos, r):
         """The robber's optimal reply in the robber-to-move state
@@ -439,11 +441,11 @@ class SolveResult:
         moves = self._moves(r)
         if not moves:
             raise ValueError("robber has no legal move from %r" % ((tuple(sorted(pos)), r),))
-        return self._reply(pos, bits(moves))
+        return self._reply(pos, moves)
 
     def robber_placement(self, pos):
         """The robber's optimal initial vertex against cop placement pos."""
-        return self._reply(pos, self.arena_vertices)
+        return self._reply(pos, self._full)
 
     def placement_value(self, pos):
         """Max capture level over robber placements, or None if some
@@ -501,15 +503,15 @@ def _attractor(g, cfg, budget):
 
     def rounds():
         # a robber on a cop is caught: the occupied arena vertices
-        caught = cop = _as_int(board.spread([(1 << v) & amask for v in range(g.n)]))
+        cop = board.spread([(1 << v) & amask for v in range(g.n)])
+        caught = _as_int(cop)
         for kept in count(1):
-            vec = cop.to_bytes(board.size, "little")
-            yield vec
+            yield cop
             _keep(board.size * (kept + 1), budget)  # and R_L in flight
             # a robber to move loses where caught or where every move is
-            rob = (caught | _as_int(trapped(vec))).to_bytes(board.size, "little")
+            rob = (caught | _as_int(trapped(cop))).to_bytes(board.size, "little")
             # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
-            nxt = _as_int(board.union(rob))
+            nxt = board.union(rob)
             if nxt == cop:
                 return
             cop = nxt
@@ -556,20 +558,16 @@ def _teleport_wins(g, cfg):
     return min_cover(g, sum(1 << v for v in arena.vertices) & ~won, 0, k)[0] <= k
 
 
-def cop_number(g, budget=DEFAULT_STATE_BUDGET, allow_disconnected=False, max_k=None):
+def cop_number(g, budget=DEFAULT_STATE_BUDGET, max_k=None):
     """Least k for which k cops win, searched between the bounds of
     the module docstring on the corner-free core; the k=1 verdict is
     cross-checked on G against dismantlability on small instances.  An
     answer above max_k raises CopwinError.
 
-    For a disconnected graph (with allow_disconnected) the value is the
-    sum over components, and max_k bounds that sum.
+    For a disconnected graph the value is the sum over components, and
+    max_k bounds that sum.
     """
     if not is_connected(g):
-        if not allow_disconnected:
-            raise DisconnectedGraphError(
-                "cop number of a disconnected graph needs allow_disconnected"
-            )
         total = sum(cop_number(c, budget=budget, max_k=max_k) for c in _components(g))
         if max_k is not None and total > max_k:
             raise CopwinError("cop number %d exceeds max_k=%d" % (total, max_k))
@@ -603,12 +601,13 @@ def _bounds(g, template):
 
 def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
     """The one cop-count search: least k for which k cops win the game
-    template (its k is ignored) on g, which is connected unless the game
-    is teleport.  Only k in [LB, UB) is solved, on the core if any;
-    without an UB the search runs up to max_k, or n.  On at most
-    DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a core also
-    solves k=1 on g, which must win exactly when the core is K_1.  A
-    StateBudgetError carries LB, or the k out of budget if larger."""
+    template (its k is ignored) on g, any graph; the standard full-arena
+    search is reached per component.  Only k in [LB, UB) is solved, on
+    the core if any; without an UB the search runs up to max_k, or n.
+    On at most DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a
+    core also solves k=1 on g, which must win exactly when the core is
+    K_1.  A StateBudgetError carries LB, or the k out of budget if
+    larger."""
     lb, ub, h = _bounds(g, template)
     if ub is not None and ub < lb:
         raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
@@ -654,8 +653,6 @@ def restricted_cop_number(g, arena, budget=DEFAULT_STATE_BUDGET):
     if not isinstance(arena, Arena):
         arena = Arena.induced(g, arena)
     arena.validate_against(g)
-    if not is_connected(g):
-        raise DisconnectedGraphError("restricted cop number needs a connected graph")
     return _least_winning_k(g, GameConfig(robber_arena=arena), budget)
 
 
@@ -681,17 +678,13 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
     return best
 
 
-def teleport_cop_number(g, allow_disconnected=False):
+def teleport_cop_number(g):
     """c_T(G): least number of teleporting cops that win.  Above the
     transversal solver's caps (see traps.min_cover) it raises ValueError.
 
     Teleporting cops jump between components, so for a disconnected
-    graph (with allow_disconnected) c_T is searched on the whole graph:
-    its bounds (LB 1, UB the domination number) hold there too."""
-    if not allow_disconnected and not is_connected(g):
-        raise DisconnectedGraphError(
-            "cop number of a disconnected graph needs allow_disconnected"
-        )
+    graph c_T is searched on the whole graph: its bounds (LB 1, UB the
+    domination number) hold there too."""
     return _least_winning_k(g, GameConfig(variant="teleport"))
 
 

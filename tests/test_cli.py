@@ -23,7 +23,7 @@ from copwin.cli import (
 from copwin.enumeration import graph_classes
 from copwin.families import cycle, petersen
 from copwin.graph6 import emit_graph6, parse_graph6
-from copwin.graphs import Graph
+from copwin.graphs import Graph, is_connected
 
 
 def run(argv):
@@ -49,6 +49,28 @@ def bad_file(tmp_path):
 # sha256 of `copwin solve --variant teleport --nmax 8` stdout: 12,113
 # records, one per connected class on at most 8 vertices, each with c and c_T
 SOLVE_TELEPORT_NMAX8_SHA256 = "0dd6395490f158ca08d4a89c52cad578e74cc21051fc054c0d946b7cec7da8c5"
+
+# sha256 and exit code of `copwin solve` on the 256 disconnected classes
+# on at most 7 vertices, one per line in graph_classes order, under each
+# set of flags: without --allow-disconnected every record is an error
+SOLVE_DISCONNECTED_LE7 = {
+    (): ("6f728853d3f3e4d3207e6484bd5f17ecbed9dfae73ce8f96afada88bb84b73b5", EXIT_USAGE),
+    ("--allow-disconnected",):
+        ("ecd0c4a2b31321509247949c6ab3584d235d14d66fbcabfb3441230b265baa4e", EXIT_OK),
+    ("--allow-disconnected", "--variant", "teleport"):
+        ("474de3d7fd946a04f801a199abbee33f1c1183e28f4bd47bfdf17fd296df6401", EXIT_OK),
+    ("--variant", "teleport", "--json"):
+        ("7af1cdd0288b03cf4a9d50e105217e8f1e6ccd46575c15e7e2c35b6cbd1f7ce8", EXIT_USAGE),
+}
+
+
+@pytest.fixture(scope="module")
+def disconnected_le7_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("disconnected") / "disconnected7.g6"
+    p.write_text("".join(
+        emit_graph6(g) + "\n" for n in range(1, 8) for g in graph_classes(n) if not is_connected(g)
+    ))
+    return str(p)
 
 
 class TestSolve:
@@ -138,7 +160,36 @@ class TestSolve:
         p.write_text(emit_graph6(Graph(3, [(0, 1)])) + "\n")
         code, text = run(["solve", "--input", str(p)])
         assert code == EXIT_USAGE
-        assert "status=error" in text
+        assert text == ("graph=B_ n=3 status=error "
+                        "error=cop number of a disconnected graph needs allow_disconnected\n")
+
+    @pytest.mark.parametrize("flags", list(SOLVE_DISCONNECTED_LE7), ids=" ".join)
+    def test_disconnected_report_le7_pinned(self, disconnected_le7_file, flags):
+        code, text = run(["solve", "--input", disconnected_le7_file, *flags])
+        assert len(text.splitlines()) == 256
+        want_sha, want_code = SOLVE_DISCONNECTED_LE7[flags]
+        assert (hashlib.sha256(text.encode()).hexdigest(), code) == (want_sha, want_code)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("before", [1, 5000], ids=["short", "past_first_buffer"])
+def test_non_utf8_line_reported_and_exits_usage(tmp_path, before, as_json):
+    # a byte that is not UTF-8 is one bad line, also when it comes after
+    # the first 8 KB the reader buffers; the stream goes on after it
+    p = tmp_path / "bytes.g6"
+    p.write_bytes(b"A_\n" * before + b"\xff\n" + b"Bw\n" * 2)
+    code, text = run(["solve", "--input", str(p)] + ["--json"] * as_json)
+    assert code == EXIT_USAGE
+    lines = text.splitlines()
+    assert len(lines) == before + 3
+    bad = {"line": before + 1, "status": "parse_error",
+           "error": "character '\\udcff' outside graph6 range 63..126 (byte offset 0)"}
+    text_record = "line=%d status=parse_error error=%s" % (before + 1, bad["error"])
+    assert lines[before] == (json.dumps(bad) if as_json else text_record)
+    others = lines[:before] + lines[before + 1:]
+    graphs = [json.loads(line)["graph"] if as_json else line.split()[0][len("graph="):]
+              for line in others]
+    assert graphs == ["A_"] * before + ["Bw"] * 2
 
 
 @pytest.mark.parametrize("argv", [

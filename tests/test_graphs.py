@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import canonical_graph, connected_graph_classes, graph_classes
-from copwin.errors import DisconnectedGraphError
 from copwin.families import complete, cycle, path
 from copwin.graph6 import emit_graph6, parse_graph6
 from copwin.graphs import (
@@ -312,9 +311,13 @@ class TestDismantlable:
     def test_complete(self):
         assert is_dismantlable(complete(7))
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            is_dismantlable(Graph(2))
+    def test_disconnected_not_dismantlable(self):
+        # each component keeps a vertex of the core
+        assert not is_dismantlable(Graph(2))
+        for n in range(2, 7):
+            for g in graph_classes(n):
+                if not is_connected(g):
+                    assert not is_dismantlable(g), g
 
 
 def _core_graph(g):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from copwin import solver
 from copwin.enumeration import canonical_graph, connected_graph_classes, graph_classes
-from copwin.errors import CopwinError, DisconnectedGraphError, StateBudgetError
+from copwin.errors import CopwinError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
 from copwin.graphs import (
     Graph,
@@ -56,16 +56,15 @@ class TestCopNumber:
         assert cop_number(g) == 1
 
     def test_disconnected(self):
+        # two disjoint 4-cycles: the sum over components
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
-        with pytest.raises(DisconnectedGraphError):
-            cop_number(g)
-        assert cop_number(g, allow_disconnected=True) == 4
+        assert cop_number(g) == 4
 
     def test_disconnected_teleport_is_not_summed(self):
         # a teleporting cop jumps between components: one cop wins 2K2
         # and K3+K2, though each component alone needs one
         for g in (Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
-            assert teleport_cop_number(g, allow_disconnected=True) == 1
+            assert teleport_cop_number(g) == 1
             assert _teleport_wins(g, GameConfig(k=1, variant="teleport"))
 
     @settings(max_examples=40, deadline=None)
@@ -108,7 +107,7 @@ class TestCopNumber:
         for n in range(2, 8):
             for g in graph_classes(n):
                 if not is_connected(g):
-                    assert _least_winning_k(g) == cop_number(g, allow_disconnected=True), g
+                    assert _least_winning_k(g) == cop_number(g), g
 
     def test_max_k_exhausted(self):
         with pytest.raises(CopwinError):
@@ -116,9 +115,9 @@ class TestCopNumber:
 
     def test_max_k_bounds_the_sum_over_components(self):
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
-        assert cop_number(g, allow_disconnected=True, max_k=4) == 4
+        assert cop_number(g, max_k=4) == 4
         with pytest.raises(CopwinError):
-            cop_number(g, allow_disconnected=True, max_k=3)
+            cop_number(g, max_k=3)
 
     def test_core_keeps_cop_number(self):
         # c(G) = c(core), solved on both sides without bounds
@@ -248,37 +247,42 @@ class TestGameSemantics:
     @pytest.mark.parametrize("cfg", [{}, {"robber_may_pass": False}], ids=["standard", "no_pass"])
     def test_replies_on_every_state(self, cfg):
         # every connected class n <= 6, k <= 2: each cop reply lowers the
-        # level by one; each robber reply is legal, stays robber-win when
-        # it can, and else takes a move of maximum level
+        # level by one; each robber reply, placement included, is the
+        # first option he wins from, else the first of greatest level
         for n in range(1, 7):
             for g in connected_graph_classes(n):
                 for k in (1, 2):
                     res = cops_win(g, GameConfig(k=k, **cfg))
                     for pos in combinations_with_replacement(range(n), k):
+                        level = self._level_or_inf(res, pos)
+                        assert res.robber_placement(pos) == max(range(n), key=level)
                         for r in range(n):
-                            self._check_replies(g, res, pos, r)
+                            self._check_replies(g, res, pos, r, level)
 
     @staticmethod
-    def _check_replies(g, res, pos, r):
+    def _level_or_inf(res, pos):
+        """The robber's key with the cops at pos to move: the capture
+        level of his vertex, math.inf where he wins.  max over options in
+        ascending order then gives the reply rule: the first he wins
+        from, else the first of greatest level."""
+        def level(r):
+            return res.level_of(pos, r, "cops") if res.is_cop_win(pos, r, "cops") else math.inf
+
+        return level
+
+    @staticmethod
+    def _check_replies(g, res, pos, r, level):
         if res.is_cop_win(pos, r, "cops"):
             lv = res.level_of(pos, r, "cops")
             if lv >= 1:
                 nxt = res.cop_move(pos, r)
                 assert res.level_of(nxt, r, "robber") == lv - 1
-        moves = [r] if res.cfg.robber_may_pass else []
-        moves += g.neighbors(r)
-        escapes = [r2 for r2 in moves if not res.is_cop_win(pos, r2, "cops")]
+        moves = sorted(([r] if res.cfg.robber_may_pass else []) + g.neighbors(r))
         if not moves:
             with pytest.raises(ValueError):
                 res.robber_move(pos, r)
             return
-        r2 = res.robber_move(pos, r)
-        assert r2 in moves
-        if escapes:
-            assert r2 in escapes
-        else:
-            levels = [res.level_of(pos, m, "cops") for m in moves]
-            assert res.level_of(pos, r2, "cops") == max(levels)
+        assert res.robber_move(pos, r) == max(moves, key=level)
 
     def test_queries_check_the_cop_position(self):
         # a position that is not k vertices of the graph is off the
@@ -571,6 +575,21 @@ class TestRestricted:
         assert vals == sorted(vals)
         assert vals[0] == 1
         assert vals[-1] == cop_number(g)
+
+    def test_disconnected_arenas(self):
+        # an arena game is played on any graph: every disconnected class
+        # on at most 6 vertices, each induced arena, and c_G(m) over them
+        for n in range(2, 7):
+            for g in graph_classes(n):
+                if is_connected(g):
+                    continue
+                for m in range(1, n + 1):
+                    best = 0
+                    for verts in combinations(range(n), m):
+                        c = _least_winning_k(g, robber_arena=Arena.induced(g, verts))
+                        assert restricted_cop_number(g, verts) == c, (g, verts)
+                        best = max(best, c)
+                    assert c_G_of_m(g, m) == best, (g, m)
 
     def test_c_g_of_m_cap(self, petersen_graph):
         with pytest.raises(ValueError):
