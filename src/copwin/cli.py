@@ -137,7 +137,7 @@ def cmd_solve(args, out, found):
         t0 = time.perf_counter()
         try:
             if not args.allow_disconnected and not is_connected(g):
-                raise CopwinError("cop number of a disconnected graph needs allow_disconnected")
+                raise CopwinError("cop number of a disconnected graph needs --allow-disconnected")
             rec["c"] = cop_number(g, budget=args.budget, max_k=args.max_k)
             if args.variant == "teleport":
                 rec["c_T"] = teleport_cop_number(g)

@@ -82,7 +82,8 @@ outside the final W (_teleport_wins, within min_cover's caps).
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
-are about.
+are about.  Every game reads and checks its arena in one place,
+_robber_moves, whose arena mask and robber moves the other readers take.
 
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
 search, _least_winning_k, which solves only the k in [LB, UB), each by
@@ -158,20 +159,24 @@ class Arena:
     def validate_against(self, g):
         """Vertices strictly increasing labels of g; one mask per vertex
         of g, naming only edges of g inside the arena, each at both of
-        its ends."""
+        its ends.  Returns the arena's vertex mask."""
         if not self.vertices:
             raise ValueError("arena must be nonempty")
         if len(self.adj) != g.n:
             raise ValueError("arena has %d masks for %d vertices" % (len(self.adj), g.n))
+        mask = 0
         for u, v in zip((-1,) + self.vertices, self.vertices):
             if not u < v < g.n:
                 raise ValueError("arena vertex %d out of range or out of order" % v)
-        for v, inside in enumerate(Arena.induced(g, self.vertices).adj):
-            if self.adj[v] & ~inside:
+            mask |= 1 << v
+        for v, row in enumerate(self.adj):
+            inside = g.adj[v] & mask if mask >> v & 1 else 0  # none off the arena
+            if row & ~inside:
                 raise ValueError("arena edge at vertex %d is not an edge of G inside the arena" % v)
-            for w in bits(self.adj[v]):
+            for w in bits(row):
                 if not self.adj[w] >> v & 1:
                     raise ValueError("arena edge (%d, %d) is named at %d only" % (v, w, v))
+        return mask
 
 
 @dataclass(frozen=True)
@@ -359,14 +364,14 @@ class SolveResult:
     move mask (see _level).
     """
 
-    def __init__(self, g, cfg, board, arena_vertices, rob_moves, rounds):
+    def __init__(self, g, cfg, board, arena_mask, rob_moves, rounds):
         self.g = g
         self.cfg = cfg
         self._board = board
-        self.arena_vertices = arena_vertices
+        self.arena_vertices = bits(arena_mask)
         self._rob_moves = rob_moves  # arena vertex -> mask of destinations
         self._rounds = rounds
-        self._full = sum(1 << v for v in arena_vertices)
+        self._full = arena_mask
         # the cops place where the whole arena is won soonest
         found = (board.first_full(cop, self._full) for cop in rounds)
         self.best_position = next((t for t in found if t is not None), None)
@@ -417,7 +422,7 @@ class SolveResult:
         lv = self.level_of(pos, r, "cops")
         if lv == 0:
             raise KeyError("(%r, %r) is already a capture" % (pos, r))
-        succ = _team_moves(self.g, pos)
+        succ = sorted({tuple(sorted(c)) for c in product(*(self._board.closed[v] for v in pos))})
         return next(t for t in succ if self._level(t, r, "robber") == lv - 1)
 
     def _reply(self, pos, options):
@@ -472,34 +477,29 @@ def _keep(kept, budget):
         raise StateBudgetError(kept, budget, counted="bytes")
 
 
-def _team_moves(g, t):
-    """The positions (sorted tuples) the cop team at t reaches in one
-    move, each cop along an edge or staying, in sorted order."""
-    return sorted({tuple(sorted(c)) for c in product(*[bits(g.closed_mask(v)) for v in t])})
-
-
 def _robber_moves(g, cfg):
-    """The arena of cfg on g, validated when given (the full arena is
-    g's own adjacency), and each arena vertex's robber move mask: its
-    arena neighbours, and itself when he may pass."""
-    if cfg.robber_arena is not None:
-        cfg.robber_arena.validate_against(g)
-    arena = cfg.robber_arena or Arena.full(g)
-    stay = cfg.robber_may_pass
-    return arena, {r: arena.adj[r] | (1 << r if stay else 0) for r in arena.vertices}
+    """The arena mask of cfg on g and each arena vertex's robber move
+    mask: its arena neighbours, and itself when he may pass.  The one
+    reader of a game's arena: a given arena is checked here, its mask
+    returned by the check; the full arena is g's own adjacency."""
+    arena, stay = cfg.robber_arena, cfg.robber_may_pass
+    if arena is None:
+        mask, adj = (1 << g.n) - 1, g.adj
+    else:
+        mask, adj = arena.validate_against(g), arena.adj
+    return mask, {r: adj[r] | (1 << r if stay else 0) for r in bits(mask)}
 
 
 def _attractor(g, cfg, budget):
-    """The board of cfg's standard game on g, its arena, its robber
+    """The board of cfg's standard game on g, its arena mask, its robber
     moves and a generator of the vectors C_0, C_1, ... up to the
     fixpoint.  The board is sized before this returns; the round after
     C_L is charged L + 2 vectors (C_0 .. C_L and R_L) as it is computed."""
     if cfg.variant != "standard":
         raise ValueError("the byte engine plays the standard game, not %r" % cfg.variant)
-    arena, rob_moves = _robber_moves(g, cfg)
-    board = _sized_board(g, cfg.k, len(arena.vertices) * 2, 2, budget)
+    amask, rob_moves = _robber_moves(g, cfg)
+    board = _sized_board(g, cfg.k, len(rob_moves) * 2, 2, budget)
     trapped = board.robber_step(rob_moves.items())
-    amask = sum(1 << v for v in arena.vertices)
 
     def rounds():
         # a robber on a cop is caught: the occupied arena vertices
@@ -516,7 +516,7 @@ def _attractor(g, cfg, budget):
                 return
             cop = nxt
 
-    return board, arena, rob_moves, rounds()
+    return board, amask, rob_moves, rounds()
 
 
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
@@ -529,8 +529,8 @@ def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
     So on a disconnected graph k cops win when they can split to win
     every component.
     """
-    board, arena, rob_moves, rounds = _attractor(g, cfg, budget)
-    return SolveResult(g, cfg, board, arena.vertices, rob_moves, list(rounds))
+    board, amask, rob_moves, rounds = _attractor(g, cfg, budget)
+    return SolveResult(g, cfg, board, amask, rob_moves, list(rounds))
 
 
 def wins(g, cfg, budget=DEFAULT_STATE_BUDGET):
@@ -539,15 +539,14 @@ def wins(g, cfg, budget=DEFAULT_STATE_BUDGET):
     first round with a field holding the whole arena decides True and
     the fixpoint decides False; no round is kept, and the rounds after
     the deciding one are neither computed nor charged to the budget."""
-    board, arena, _, rounds = _attractor(g, cfg, budget)
-    full = sum(1 << v for v in arena.vertices)
+    board, full, _, rounds = _attractor(g, cfg, budget)
     return any(board.first_full(cop, full) is not None for cop in rounds)
 
 
 def _teleport_wins(g, cfg):
     """Whether cfg.k teleporting cops win on g: the fixpoint of covers
     of the module docstring, W the robber vertices won so far."""
-    arena, rob_moves = _robber_moves(g, cfg)
+    full, rob_moves = _robber_moves(g, cfg)
     k = cfg.k
     won, last = 0, None
     while won != last:
@@ -555,7 +554,7 @@ def _teleport_wins(g, cfg):
         for r, moves in rob_moves.items():
             if not won >> r & 1 and min_cover(g, moves & ~won, 1 << r, k)[0] <= k:
                 won |= 1 << r
-    return min_cover(g, sum(1 << v for v in arena.vertices) & ~won, 0, k)[0] <= k
+    return min_cover(g, full & ~won, 0, k)[0] <= k
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, max_k=None):
@@ -591,7 +590,7 @@ def _bounds(g, template):
         delta = min(h.degrees())  # at least 2: a leaf is a corner
         lb = delta if delta >= 3 and girth(h) >= 5 else 2
         g = h  # UB is the core's too
-    amask = (1 << g.n) - 1 if arena is None else sum(1 << v for v in arena.vertices)
+    amask = _robber_moves(g, template)[0]  # a given arena is checked here
     try:
         found = min_cover(g, amask, 0, lb, COVER_MAX_NODES)
     except ValueError:  # above the transversal solver's caps
@@ -652,7 +651,6 @@ def restricted_cop_number(g, arena, budget=DEFAULT_STATE_BUDGET):
     """c_G(H): cops needed against a robber confined to the arena."""
     if not isinstance(arena, Arena):
         arena = Arena.induced(g, arena)
-    arena.validate_against(g)
     return _least_winning_k(g, GameConfig(robber_arena=arena), budget)
 
 

@@ -54,13 +54,13 @@ SOLVE_TELEPORT_NMAX8_SHA256 = "0dd6395490f158ca08d4a89c52cad578e74cc21051fc054c0
 # on at most 7 vertices, one per line in graph_classes order, under each
 # set of flags: without --allow-disconnected every record is an error
 SOLVE_DISCONNECTED_LE7 = {
-    (): ("6f728853d3f3e4d3207e6484bd5f17ecbed9dfae73ce8f96afada88bb84b73b5", EXIT_USAGE),
+    (): ("51fdff002ba471ddb661541dbc628e9e58906e3168babc4626354436ead8b95e", EXIT_USAGE),
     ("--allow-disconnected",):
         ("ecd0c4a2b31321509247949c6ab3584d235d14d66fbcabfb3441230b265baa4e", EXIT_OK),
     ("--allow-disconnected", "--variant", "teleport"):
         ("474de3d7fd946a04f801a199abbee33f1c1183e28f4bd47bfdf17fd296df6401", EXIT_OK),
     ("--variant", "teleport", "--json"):
-        ("7af1cdd0288b03cf4a9d50e105217e8f1e6ccd46575c15e7e2c35b6cbd1f7ce8", EXIT_USAGE),
+        ("0bc7d822e8b4ee2d426eb9050d7879fddc1c3292318820068e93292a4e213b6e", EXIT_USAGE),
 }
 
 
@@ -161,7 +161,7 @@ class TestSolve:
         code, text = run(["solve", "--input", str(p)])
         assert code == EXIT_USAGE
         assert text == ("graph=B_ n=3 status=error "
-                        "error=cop number of a disconnected graph needs allow_disconnected\n")
+                        "error=cop number of a disconnected graph needs --allow-disconnected\n")
 
     @pytest.mark.parametrize("flags", list(SOLVE_DISCONNECTED_LE7), ids=" ".join)
     def test_disconnected_report_le7_pinned(self, disconnected_le7_file, flags):

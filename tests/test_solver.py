@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from copwin import solver
 from copwin.enumeration import canonical_graph, connected_graph_classes, graph_classes
 from copwin.errors import CopwinError, StateBudgetError
 from copwin.families import complete, cycle, incidence, path, petersen, polarity
+from copwin.graph6 import emit_graph6
 from copwin.graphs import (
     Graph,
     bits,
@@ -24,7 +26,6 @@ from copwin.solver import (
     GameConfig,
     _Board,
     _bounds,
-    _team_moves,
     _teleport_wins,
     c_G_of_m,
     cop_number,
@@ -386,6 +387,12 @@ def _random_arena(g, rng):
     return Arena.from_edges(g, verts, edges)
 
 
+def _team_moves(g, t):
+    """The positions (sorted tuples) the cop team at t reaches in one
+    move, each cop along an edge or staying."""
+    return {tuple(sorted(c)) for c in product(*[bits(g.closed_mask(v)) for v in t])}
+
+
 def _decoded_rounds(res):
     """The (C_L, R_L) rounds of a SolveResult at each position in
     sorted-multiset order: C_L decoded from the kept vectors, R_L read
@@ -493,6 +500,16 @@ class TestLayeredMoves:
                     assert all(c & ~nxt == 0 for c, nxt in zip(kept, kept[1:])), (g, cfg)
 
 
+def _refused_everywhere(g, arena, match):
+    """Every entry point that plays on an arena refuses a malformed one,
+    with the same message."""
+    for solve in (cops_win, wins):
+        with pytest.raises(ValueError, match=match):
+            solve(g, GameConfig(robber_arena=arena))
+    with pytest.raises(ValueError, match=match):
+        restricted_cop_number(g, arena)
+
+
 class TestRestricted:
     def test_petersen_pentagon_arena(self, petersen_graph):
         # robber pinned to an induced 5-cycle of the Petersen graph while
@@ -521,6 +538,9 @@ class TestRestricted:
         g = cycle(4)
         with pytest.raises(ValueError):
             Arena.from_edges(g, range(4), [(0, 2)])
+        # the check returns the arena's vertex mask
+        assert Arena.induced(g, (0, 2, 3)).validate_against(g) == 0b1101
+        assert Arena.from_edges(g, [1], []).validate_against(g) == 0b10
 
     @pytest.mark.parametrize("off", [9, 4, -1])
     def test_from_edges_checks_vertex_range_first(self, off):
@@ -537,37 +557,56 @@ class TestRestricted:
         arena = Arena((0, 1, 2), tuple(adj))
         with pytest.raises(ValueError):
             arena.validate_against(g)
-        with pytest.raises(ValueError):
-            cops_win(g, GameConfig(robber_arena=arena))
-        with pytest.raises(ValueError):
-            restricted_cop_number(g, arena)
+        _refused_everywhere(g, arena, "named at 0 only")
+        # 1 -> 2 named at 1 only, on the whole graph
+        adj = list(g.adj)
+        adj[2] &= ~(1 << 1)
+        _refused_everywhere(g, Arena(tuple(range(6)), tuple(adj)), "named at 1 only")
 
     def test_arena_rejects_duplicate_vertices(self):
         # a repeated vertex would carry into the next bit of the arena mask
         g = cycle(6)
         arena = Arena((0, 0, 1), Arena.induced(g, (0, 1)).adj)
-        with pytest.raises(ValueError):
-            cops_win(g, GameConfig(robber_arena=arena))
+        _refused_everywhere(g, arena, "out of order")
         with pytest.raises(ValueError):
             Arena((1, 0), Arena.induced(g, (0, 1)).adj).validate_against(g)
+        # labels off the graph fail the same check, one-vertex arenas too:
+        # their bounds settle c_G(H) = 1 with no solve
+        no_edges = (0,) * 6
+        for verts in ((0, 6), (6,), (-1,)):
+            _refused_everywhere(g, Arena(verts, no_edges), "out of range")
 
     def test_arena_rejects_edges_leaving_it(self):
         # the edge 1-2 of C6 is an edge of G, but 2 is off the arena
         g = cycle(6)
         adj = list(Arena.induced(g, (0, 1)).adj)
         adj[1] |= 1 << 2
-        with pytest.raises(ValueError):
-            cops_win(g, GameConfig(robber_arena=Arena((0, 1), tuple(adj))))
+        _refused_everywhere(g, Arena((0, 1), tuple(adj)), "at vertex 1 is not an edge")
         adj = list(Arena.induced(g, (0, 1)).adj)
         adj[2] = 1 << 1 | 1 << 3  # a mask on an off-arena vertex
-        with pytest.raises(ValueError):
-            restricted_cop_number(g, Arena((0, 1), tuple(adj)))
+        _refused_everywhere(g, Arena((0, 1), tuple(adj)), "at vertex 2 is not an edge")
+        adj[2] = 1 << 1  # named at the off-arena end only
+        _refused_everywhere(g, Arena((0, 1), tuple(adj)), "at vertex 2 is not an edge")
+        adj = list(Arena.induced(g, (2, 3)).adj)
+        adj[1], adj[2] = 1 << 2, adj[2] | 1 << 1  # at both ends, the first off the arena
+        _refused_everywhere(g, Arena((2, 3), tuple(adj)), "at vertex 1 is not an edge")
+        # a one-vertex arena whose robber may step to 1, named at both ends
+        adj = [0] * 6
+        adj[0], adj[1] = 1 << 1, 1 << 0
+        _refused_everywhere(g, Arena((0,), tuple(adj)), "at vertex 0 is not an edge")
+        # 0-3 is no edge of C6, though both ends are in the arena
+        adj = list(Arena.induced(g, (0, 1, 3)).adj)
+        adj[0] |= 1 << 3
+        adj[3] |= 1 << 0
+        _refused_everywhere(g, Arena((0, 1, 3), tuple(adj)), "at vertex 0 is not an edge")
 
     def test_arena_needs_one_mask_per_vertex(self):
         g = cycle(6)
         short = Arena((0, 1), Arena.induced(g, (0, 1)).adj[:2])
-        with pytest.raises(ValueError):
-            cops_win(g, GameConfig(robber_arena=short))
+        _refused_everywhere(g, short, "2 masks for 6 vertices")
+        long = Arena((0, 1), Arena.induced(g, (0, 1)).adj + (0,))
+        _refused_everywhere(g, long, "7 masks for 6 vertices")
+        _refused_everywhere(g, Arena((3,), (0,)), "1 masks for 6 vertices")
 
     def test_c_g_of_m_monotone(self):
         g = cycle(6)
@@ -590,6 +629,17 @@ class TestRestricted:
                         assert restricted_cop_number(g, verts) == c, (g, verts)
                         best = max(best, c)
                     assert c_G_of_m(g, m) == best, (g, m)
+
+    def test_c_g_of_m_pinned_le6(self):
+        # one line "graph6 c_1,...,c_n" per connected class n <= 6, in
+        # connected_graph_classes order, byte for byte
+        text = "".join(
+            "%s %s\n" % (emit_graph6(g), ",".join(str(c_G_of_m(g, m)) for m in range(1, n + 1)))
+            for n in range(1, 7)
+            for g in connected_graph_classes(n)
+        )
+        got = hashlib.sha256(text.encode()).hexdigest()
+        assert got == "9ef6911bef2e1d4188fa75731c388931e546e257c4410d63245bd449aa1b2ed2"
 
     def test_c_g_of_m_cap(self, petersen_graph):
         with pytest.raises(ValueError):
