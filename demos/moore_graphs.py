@@ -7,6 +7,7 @@ Run:  python3 demos/moore_graphs.py
 """
 
 import math
+import sys
 import time
 
 from copwin import cop_number, teleport_cop_number
@@ -23,7 +24,8 @@ def describe(name, g):
     t0 = time.perf_counter()
     c = cop_number(g)
     ct = teleport_cop_number(g)
-    print("c(G)=%d  c_T(G)=%d  (%.2fs)" % (c, ct, time.perf_counter() - t0))
+    print("c(G)=%d  c_T(G)=%d" % (c, ct))
+    print("%s: %.2fs" % (name, time.perf_counter() - t0), file=sys.stderr)
     print("sqrt(n-1) = %d, so the cop number meets the Moore bound exactly"
           % math.isqrt(g.n - 1))
 

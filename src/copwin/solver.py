@@ -54,8 +54,8 @@ standard game; each round is a robber step and a cop-move union:
 
 Iteration stops when C no longer changes.  The round in which a state
 first appears is its level: the optimal number of cop rounds to
-capture.  One generator, _attractor, yields C_0, C_1, ... and two
-callers read it.  C_L only grows, so the first round with a field
+capture.  _attractor's rounds come from _chain, the byte engine's
+one fixpoint loop.  C_L only grows, so the first round with a field
 holding the whole arena decides that k cops win: wins, which answers
 the verdict alone, stops there, and returns False at the fixpoint.
 cops_win reads every round into a SolveResult.  R_L is a function of
@@ -69,6 +69,14 @@ multiset positions in sorted order: best_position is the first full
 field of the earliest round, and the full fields form a set closed
 under permuting the cops, whose lexicographically first tuple is
 sorted; cop_move tries the successor multisets in sorted order.
+
+Lemma.  For a no-pass robber let F(x) = caught | trapped(union(x)),
+with caught = C_0 and trapped the robber step.  R_{L+1} = F(R_L), and
+_preceq_levels yields rel_i = F^i(caught), as a cop on r reaches each
+of r's moves.  The robber step is monotone and the union holds its
+input (the cops may stay), so caught <= R_0 <= F(caught), and hence
+rel_i <= R_i <= rel_{i+1}.  Both chains end at one fixpoint R, full in
+a field just where union(R) is, so preceq_fixpoint_wins equals wins.
 
 The teleport game needs no vectors.  Each cop may jump to any vertex
 but the robber's, and the robber loses when his round (or placement)
@@ -490,6 +498,14 @@ def _robber_moves(g, cfg):
     return mask, {r: adj[r] | (1 << r if stay else 0) for r in bits(mask)}
 
 
+def _chain(vec, step):
+    """Yield vec, step(vec), ... up to the first vector equal to the one before."""
+    yield vec
+    while (nxt := step(vec)) != vec:
+        yield nxt
+        vec = nxt
+
+
 def _attractor(g, cfg, budget):
     """The board of cfg's standard game on g, its arena mask, its robber
     moves and a generator of the vectors C_0, C_1, ... up to the
@@ -500,23 +516,19 @@ def _attractor(g, cfg, budget):
     amask, rob_moves = _robber_moves(g, cfg)
     board = _sized_board(g, cfg.k, len(rob_moves) * 2, 2, budget)
     trapped = board.robber_step(rob_moves.items())
+    # a robber on a cop is caught: the occupied arena vertices
+    c0 = board.spread([(1 << v) & amask for v in range(g.n)])
+    caught = _as_int(c0)
+    charged = count(2)
 
-    def rounds():
-        # a robber on a cop is caught: the occupied arena vertices
-        cop = board.spread([(1 << v) & amask for v in range(g.n)])
-        caught = _as_int(cop)
-        for kept in count(1):
-            yield cop
-            _keep(board.size * (kept + 1), budget)  # and R_L in flight
-            # a robber to move loses where caught or where every move is
-            rob = (caught | _as_int(trapped(cop))).to_bytes(board.size, "little")
-            # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
-            nxt = board.union(rob)
-            if nxt == cop:
-                return
-            cop = nxt
+    def step(cop):
+        _keep(board.size * next(charged), budget)  # and R_L in flight
+        # a robber to move loses where caught or where every move is
+        rob = (caught | _as_int(trapped(cop))).to_bytes(board.size, "little")
+        # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
+        return board.union(rob)
 
-    return board, amask, rob_moves, rounds()
+    return board, amask, rob_moves, _chain(c0, step)
 
 
 def cops_win(g, cfg, budget=DEFAULT_STATE_BUDGET):
@@ -687,31 +699,18 @@ def teleport_cop_number(g):
 
 
 def _preceq_levels(g, k, budget):
-    """The board and a generator of the relation chain rel[0], rel[1],
-    ..., each a mask vector over robber vertices, up to the first level
-    equal to the one before.  The robber does not pass; cop moves use
-    the reflexive closure of the strong product.  rel[0] is occupancy
-    and rel[i+1] the robber step of the cop-move union of rel[i]: the
-    chain grows (rel[1] holds rel[0], as a robber on a cop has every
-    neighbour within one cop move, and both steps are monotone), so
-    rel[i] is already the union of the levels before it."""
+    """The board and the chain rel_0, rel_1, ... of the module docstring's
+    lemma, for k cops; each rel_i holds the levels before it."""
+    rob_moves = _robber_moves(g, GameConfig(k=k, robber_may_pass=False))[1]
     board = _sized_board(g, k, g.n, 1, budget)
-    trapped = board.robber_step(enumerate(g.adj))
-
-    def levels(rel):
-        while True:
-            yield rel
-            new = trapped(board.union(rel))
-            if new == rel:
-                return
-            rel = new
-
-    return board, levels(board.spread([1 << v for v in range(g.n)]))
+    trapped = board.robber_step(rob_moves.items())
+    occupancy = board.spread([1 << v for v in range(g.n)])
+    return board, _chain(occupancy, lambda rel: trapped(board.union(rel)))
 
 
 def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
     """The relation between robber vertices and cop positions at level i
-    (rel[0] for i <= 0, the stabilized relation if i exceeds the
+    (rel_0 for i <= 0, the stabilized relation if i exceeds the
     fixpoint index)."""
     board, levels = _preceq_levels(g, k, budget)
     for level, rel in enumerate(levels):
@@ -726,8 +725,8 @@ def preceq(g, k, i, budget=DEFAULT_STATE_BUDGET):
 
 def preceq_fixpoint_wins(g, k, budget=DEFAULT_STATE_BUDGET):
     """True iff some position relates to every robber vertex in the
-    stabilized relation; equals cops_win with a no-pass robber.  The
-    chain grows, so the first level holding a full field decides."""
+    stabilized relation: wins with a no-pass robber, by the module
+    docstring's lemma.  The chain grows, so the first full field decides."""
     board, levels = _preceq_levels(g, k, budget)
     full = (1 << g.n) - 1
     return any(board.first_full(rel, full) is not None for rel in levels)

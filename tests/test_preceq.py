@@ -8,6 +8,7 @@ from copwin.families import complete, cycle, path
 from copwin.solver import (
     DEFAULT_STATE_BUDGET,
     GameConfig,
+    _attractor,
     _preceq_levels,
     cops_win,
     preceq,
@@ -85,6 +86,28 @@ class TestFixpointOutcome:
                 assert preceq_fixpoint_wins(g, k) == at_fixpoint, g
                 occupancy = {(x, t) for t in combinations_with_replacement(range(n), k) for x in t}
                 assert preceq(g, k, -1) == preceq(g, k, 0) == occupancy, g
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_game_rounds_interleave_the_chain(self, k):
+        # every class n <= 7, disconnected ones too: the no-pass game's
+        # robber vectors R_L = C_0 | trapped(C_L) and the chain iterate one
+        # map from C_0 <= R_0 <= rel_1, so rel_i <= R_i <= rel_{i+1} once
+        # each chain is extended by its fixpoint
+        cfg = GameConfig(k=k, robber_may_pass=False)
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                board, _, rob_moves, rounds = _attractor(g, cfg, DEFAULT_STATE_BUDGET)
+                trapped = board.robber_step(rob_moves.items())
+                cops = list(rounds)
+                caught = int.from_bytes(cops[0], "little")
+                rob = [caught | int.from_bytes(trapped(c), "little") for c in cops]
+                _, levels = _preceq_levels(g, k, DEFAULT_STATE_BUDGET)
+                rel = [int.from_bytes(r, "little") for r in levels]
+                size = max(len(rob), len(rel)) + 1
+                rob += rob[-1:] * (size - len(rob))
+                rel += rel[-1:] * (size - len(rel))
+                for i in range(size - 1):
+                    assert rel[i] & ~rob[i] == 0 and rob[i] & ~rel[i + 1] == 0, (g, i)
 
 
 class TestTrapLink:
