@@ -23,8 +23,10 @@ run on whole vectors at C speed:
   ``_step_tables``).
 * One cop's move.  Split the vector into n blocks of n^(k-1) fields,
   one per vertex v of cop 1.  Output block v is the OR of input blocks
-  w in N[v], on ints; cop 1 has moved.  n * ceil(n/8) strided slice
-  assignments then rotate the tuples so that cop 2 is the top digit.
+  w in N[v], on ints; cop 1 has moved.  n strided assignments of whole
+  fields (1 byte, or one item of a memoryview cast at 2, 4 or 8 bytes;
+  other widths go lane by lane, n * ceil(n/8) of them) then rotate the
+  tuples so that cop 2 is the top digit.
   k such moves make the cop-move union of one round (the cops move one
   at a time, after Petr, Portier and Versteegen, "A faster algorithm
   for Cops and Robbers", 2022), with k - 1 rotations: the union of a
@@ -47,8 +49,11 @@ standard game; each round is a robber step and a cop-move union:
 * C_0[p], the capture mask, is the set of occupied arena vertices: a
   cop on the robber's vertex captures, at placement and after each move.
 * R_L[p], the robber step, adds to the occupied arena vertices of p
-  every arena vertex all of whose robber moves lie in C_L[p]: the
-  robber to move there loses within L cop rounds.
+  trapped(C_L)[p], every arena vertex all of whose robber moves lie in
+  C_L[p]: the robber to move there loses within L cop rounds.  From
+  round 1 on, R_L = trapped(C_L): a cop on v reaches every vertex of
+  N_G[v], so C_1[p] holds N_G[v] on the arena, and a robber's moves lie
+  in his closed neighbourhood.
 * C_{L+1}[p], the cop-move union, is C_L[p] together with R_L[q] for
   every position q the cops at p can move to.
 
@@ -70,13 +75,14 @@ field of the earliest round, and the full fields form a set closed
 under permuting the cops, whose lexicographically first tuple is
 sorted; cop_move tries the successor multisets in sorted order.
 
-Lemma.  For a no-pass robber let F(x) = caught | trapped(union(x)),
-with caught = C_0 and trapped the robber step.  R_{L+1} = F(R_L), and
-_preceq_levels yields rel_i = F^i(caught), as a cop on r reaches each
-of r's moves.  The robber step is monotone and the union holds its
-input (the cops may stay), so caught <= R_0 <= F(caught), and hence
-rel_i <= R_i <= rel_{i+1}.  Both chains end at one fixpoint R, full in
-a field just where union(R) is, so preceq_fixpoint_wins equals wins.
+Lemma.  Let F(x) = trapped(union(x)).  By the round-1 fact,
+R_{L+1} = F(R_L) for every L >= 0.  With a no-pass robber on the full
+arena, F is _preceq_levels' own step, so the game's R chain and the
+preceq chain iterate one map from two starts: rel_i = F^i(caught), with
+caught = C_0, and R_i = F^i(R_0).  The robber step is monotone and the
+union holds its input (the cops may stay), so caught <= R_0 <= F(caught),
+and hence rel_i <= R_i <= rel_{i+1}.  Both chains end at one fixpoint
+R, full in a field just where union(R) is: preceq_fixpoint_wins is wins.
 
 The teleport game needs no vectors.  Each cop may jump to any vertex
 but the robber's, and the robber loses when his round (or placement)
@@ -219,6 +225,7 @@ class _Board:
         self.size = self.fields * nb  # bytes of one vector
         self.block = self.size // n  # bytes per value of the top cop
         self.closed = [bits(g.closed_mask(v)) for v in range(n)]
+        self.fmt = {2: "H", 4: "I", 8: "Q"}.get(nb)  # a field as one memoryview item
 
     def field(self, pos):
         """The field of cop position pos; KeyError when pos is not k
@@ -276,7 +283,7 @@ class _Board:
         rotated back: the result is symmetric too, so each field still
         reads its own value (not so for k >= 2 on an asymmetric vec)."""
         n, nb, size, block = self.n, self.nb, self.size, self.block
-        stride = n * nb
+        fmt, whole = self.fmt, self.fmt or nb == 1
         for cop in range(self.k):
             blocks = [int.from_bytes(vec[i:i + block], "little") for i in range(0, size, block)]
             moved = []
@@ -288,13 +295,15 @@ class _Board:
             if cop == self.k - 1:
                 return b"".join(moved)
             vec = bytearray(size)
+            # field (v, rest) goes to field (rest, v), whole fields where one item holds
+            # them; at 1 byte the bytearray's own strided loop beats memoryview's copy
+            out = memoryview(vec).cast(fmt) if fmt else vec
             for v, part in enumerate(moved):
-                # field (v, rest) goes to field (rest, v)
-                if nb == 1:  # one lane: a lane loop here costs ~10% of a k = 2 solve at n <= 8
-                    vec[v::n] = part
+                if whole:
+                    out[v::n] = memoryview(part).cast(fmt) if fmt else part
                 else:
                     for j in range(nb):
-                        vec[v * nb + j::stride] = part[j::nb]
+                        vec[v * nb + j::n * nb] = part[j::nb]
 
     def robber_step(self, moves):
         """The robber step for robber moves given as (vertex, move mask)
@@ -322,8 +331,12 @@ class _Board:
 
 @lru_cache(maxsize=None)
 def _supersets(part):
-    """256 bytes as an int: byte x is 1 when x holds every bit of part."""
-    return _as_int(bytes(x & part == part for x in range(256)))
+    """256 bytes as an int: byte x is 1 when x holds every bit of part.
+    Each bit of x doubles the table; a bit of part zeroes its lower half."""
+    table = b"\x01"
+    for i in range(8):
+        table = (bytes(len(table)) if part >> i & 1 else table) + table
+    return _as_int(table)
 
 
 @lru_cache(maxsize=64)
@@ -333,22 +346,18 @@ def _step_tables(nb, moves):
     vertices r whose moves in lane b (byte b of a field) lie inside the
     byte x.  Each is the sum, over those r, of the superset indicator of
     r's moves in lane b shifted to r's bit; the bits differ, so nothing
-    carries.
+    carries.  One pass over the moves fills every table of a lane b.
 
     The cache pays where one graph is solved again with the same robber
     moves: the preceq check, and the restricted searches over one
     arena.  The standard cop-number search seldom hits it, as it solves
     k = 1 on G and k >= 2 on the core; the teleport game builds no
     vectors."""
-    return tuple(
-        tuple(
-            sum(
-                _supersets(mv >> 8 * b & 0xFF) << (r & 7) for r, mv in moves if r >> 3 == o
-            ).to_bytes(256, "little")
-            for o in range(nb)
-        )
-        for b in range(nb)
-    )
+    sums = [[0] * nb for _ in range(nb)]  # sums[b][o]
+    for b, row in enumerate(sums):
+        for r, mv in moves:
+            row[r >> 3] += _supersets(mv >> 8 * b & 0xFF) << (r & 7)
+    return tuple(tuple(t.to_bytes(256, "little") for t in row) for row in sums)
 
 
 class SolveResult:
@@ -518,13 +527,14 @@ def _attractor(g, cfg, budget):
     trapped = board.robber_step(rob_moves.items())
     # a robber on a cop is caught: the occupied arena vertices
     c0 = board.spread([(1 << v) & amask for v in range(g.n)])
-    caught = _as_int(c0)
     charged = count(2)
 
     def step(cop):
-        _keep(board.size * next(charged), budget)  # and R_L in flight
-        # a robber to move loses where caught or where every move is
-        rob = (caught | _as_int(trapped(cop))).to_bytes(board.size, "little")
+        kept = next(charged)
+        _keep(board.size * kept, budget)  # and R_L in flight
+        rob = trapped(cop)  # it holds the occupied C_0 from L = 1 on (docstring)
+        if kept == 2:  # round 0
+            rob = (_as_int(cop) | _as_int(rob)).to_bytes(board.size, "little")
         # holds C_L: the cops may stay, and R_L holds R_{L-1}, whose union is in C_L
         return board.union(rob)
 

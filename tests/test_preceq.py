@@ -92,7 +92,8 @@ class TestFixpointOutcome:
         # every class n <= 7, disconnected ones too: the no-pass game's
         # robber vectors R_L = C_0 | trapped(C_L) and the chain iterate one
         # map from C_0 <= R_0 <= rel_1, so rel_i <= R_i <= rel_{i+1} once
-        # each chain is extended by its fixpoint
+        # each chain is extended by its fixpoint; from L = 1 on, trapped(C_L)
+        # already holds C_0, so the solver adds C_0 in round 0 alone
         cfg = GameConfig(k=k, robber_may_pass=False)
         for n in range(1, 8):
             for g in graph_classes(n):
@@ -101,6 +102,7 @@ class TestFixpointOutcome:
                 cops = list(rounds)
                 caught = int.from_bytes(cops[0], "little")
                 rob = [caught | int.from_bytes(trapped(c), "little") for c in cops]
+                assert rob[1:] == [int.from_bytes(trapped(c), "little") for c in cops[1:]], g
                 _, levels = _preceq_levels(g, k, DEFAULT_STATE_BUDGET)
                 rel = [int.from_bytes(r, "little") for r in levels]
                 size = max(len(rob), len(rel)) + 1

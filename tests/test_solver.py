@@ -26,6 +26,8 @@ from copwin.solver import (
     GameConfig,
     _Board,
     _bounds,
+    _step_tables,
+    _supersets,
     _teleport_wins,
     c_G_of_m,
     cop_number,
@@ -387,6 +389,14 @@ def _random_arena(g, rng):
     return Arena.from_edges(g, verts, edges)
 
 
+def _seeded_connected(n, rng):
+    """A seeded connected graph on n vertices: a random spanning tree,
+    and each other pair an edge with probability 3/n."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {e for e in combinations(range(n), 2) if rng.random() < 3 / n}
+    return Graph(n, sorted(edges))
+
+
 def _team_moves(g, t):
     """The positions (sorted tuples) the cop team at t reaches in one
     move, each cop along an edge or staying."""
@@ -419,10 +429,13 @@ class TestLayeredMoves:
     def test_union_matches_product_successors(self, petersen_graph):
         # every connected class n <= 6 with k <= 3, and two-lane boards
         # (n >= 9, two bytes a field): Petersen with k <= 3 and seeded
-        # connected classes on 9 vertices with k <= 2.  The cop-move
-        # union of a random symmetric vector is, at every ordered tuple,
-        # the OR over the product successors of its multiset: the result
-        # is symmetric, which the union's unrotated last move relies on
+        # connected classes on 9 vertices with k <= 2; then seeded
+        # connected graphs on 17, 25, 33 and 57 vertices with k <= 2, for
+        # 3, 4, 5 and 8 bytes a field: both rotations, whole fields and
+        # lane by lane.  The cop-move union of a random symmetric vector
+        # is, at every ordered tuple, the OR over the product successors
+        # of its multiset: the result is symmetric, which the union's
+        # unrotated last move relies on
         rng = random.Random(8)
         cases = [(g, k) for n in range(1, 7) for g in connected_graph_classes(n) for k in (1, 2, 3)]
         cases += [(petersen_graph, k) for k in (1, 2, 3)]
@@ -432,6 +445,7 @@ class TestLayeredMoves:
             if is_connected(g):
                 sample.append(canonical_graph(g))
         cases += [(g, k) for g in sample for k in (1, 2)]
+        cases += [(_seeded_connected(n, rng), k) for n in (17, 25, 33, 57) for k in (1, 2)]
         for g, k in cases:
             board = _Board(g, k)
             positions = list(combinations_with_replacement(range(g.n), k))
@@ -482,6 +496,45 @@ class TestLayeredMoves:
                     full = sum(1 << v for v in (arena or Arena.full(g)).vertices)
                     want = full in _oracle_rounds(g, cfg)[-1][0]
                     assert _teleport_wins(g, cfg) == want, (g, cfg)
+
+    def test_wide_field_rounds_match_product_table(self):
+        # byte rounds on 3 and 4 bytes a field (seeded connected graphs
+        # on 17 and 29 vertices), k <= 2, a passing and a no-pass robber,
+        # the full arena and a seeded one from edges, against the
+        # product-table oracle: the occupied vertices join R_L in round 0
+        # alone, and trapped(C_L) holds them from round 1 on
+        rng = random.Random(33)
+        for n in (17, 29):
+            g = _seeded_connected(n, rng)
+            for arena in (None, _random_arena(g, rng)):
+                for k, passing in product((1, 2), (True, False)):
+                    cfg = GameConfig(k=k, robber_may_pass=passing, robber_arena=arena)
+                    want = [tuple(pair) for pair in _oracle_rounds(g, cfg)]
+                    assert _decoded_rounds(cops_win(g, cfg)) == want, (g, cfg)
+
+    def test_step_tables_match_their_definition(self):
+        # the superset indicator of every byte, and the translate tables
+        # of seeded robber moves on 1 to 5 bytes a field, against the
+        # definitions: tables[b][o] sums, over the lane-o vertices r, the
+        # superset indicator of r's moves in lane b shifted to r's bit
+        for part in range(256):
+            want = bytes(x & part == part for x in range(256))
+            assert _supersets(part).to_bytes(256, "little") == want, part
+        rng = random.Random(40)
+        for nb in range(1, 6):
+            n = rng.randint(8 * nb - 7, 8 * nb)
+            verts = sorted(rng.sample(range(n), rng.randint(1, n)))
+            moves = tuple((r, rng.getrandbits(n)) for r in verts)
+            want = tuple(
+                tuple(
+                    sum(
+                        _supersets(mv >> 8 * b & 0xFF) << (r & 7) for r, mv in moves if r >> 3 == o
+                    ).to_bytes(256, "little")
+                    for o in range(nb)
+                )
+                for b in range(nb)
+            )
+            assert _step_tables(nb, moves) == want, nb
 
     def test_verdict_stops_at_the_first_full_round(self, petersen_graph):
         # every connected class n <= 6 and Petersen, k <= 3, a passing
