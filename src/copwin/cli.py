@@ -3,9 +3,9 @@ scans, family generation, trap reports, the key-inequality check, and
 strategy simulation.
 
 Report format: one record per graph as "key=value" pairs in a stable
-order; --json switches to one JSON object per line.  Reports are
-byte-identical across runs for identical inputs and flags (timings are
-only emitted under --timing).
+order; --json switches to one JSON object per line (simulate's traces
+are text, so it has no --json).  Reports are byte-identical across runs
+for identical inputs and flags (timings are only emitted under --timing).
 
 Exit codes: 0 success or report-only findings, 1 theorem-check
 violation, 2 usage error or bad input, 3 resource exhaustion.  Every
@@ -94,9 +94,9 @@ def _graphs(args, out, found):
                              % (args.nmax, SCAN_MAX_N))
     if args.input:
         # a byte that is not UTF-8 becomes a lone surrogate, so its line
-        # fails to parse and the stream goes on
+        # fails to parse and the stream goes on; simulate has no --json
         return _read_input(open(args.input, encoding="utf-8", errors="surrogateescape"),
-                           args.json, out, found)
+                           getattr(args, "json", False), out, found)
     nmax = 6 if args.nmax is None else args.nmax
     return (g for n in range(1, nmax + 1) for g in connected_graph_classes(n))
 
@@ -156,23 +156,21 @@ def cmd_solve(args, out, found):
         _emit(out, rec, args.json)
 
 
-def _scan_filter(check, g):
-    """Graph filters per check, mirroring the theorems' hypotheses."""
-    if check == "theorem1":
-        return theorem1_applies(g)
-    if check in ("conj_sqrt_n", "conj_teleport"):
-        return diameter(g) <= 2
-    return True  # lemma4, lemma5, preceq_equiv: all connected graphs
-
-
 def _scan_one(check, g, budget):
-    """Return (record-fields, verdict) for one graph.  verdict is one of
-    pass, fail, candidate (conjecture counterexample), unresolved."""
+    """Return (record-fields, verdict) for one graph, or None for a graph
+    outside the check's hypothesis: theorem 1's for theorem1, diameter
+    <= 2 for the two conjectures.  verdict is one of pass, fail, report,
+    candidate (conjecture counterexample)."""
+    if check == "theorem1" and not theorem1_applies(g):
+        return None
     n = g.n
+    d = diameter(g)
+    if check in ("conj_sqrt_n", "conj_teleport") and d > 2:
+        return None
     rec = {
         "graph": emit_graph6(g),
         "n": n,
-        "diameter": _fmt_diameter(diameter(g)),
+        "diameter": _fmt_diameter(d),
         "bipartite": str(is_bipartite(g)).lower(),
     }
     if check == "theorem1":
@@ -225,12 +223,13 @@ def cmd_scan(args, out, found):
         out.write("# " + _kv(header) + "\n")
     verdicts = Counter()
     for g in graphs:
-        if not _scan_filter(check, g):
-            continue
         try:
-            rec, verdict = _scan_one(check, g, args.budget)
+            scanned = _scan_one(check, g, args.budget)
         except StateBudgetError:
-            rec, verdict = {"graph": emit_graph6(g), "n": g.n}, "unresolved"
+            scanned = {"graph": emit_graph6(g), "n": g.n}, "unresolved"
+        if scanned is None:
+            continue
+        rec, verdict = scanned
         rec["verdict"] = verdict
         verdicts[verdict] += 1
         if args.all or verdict not in ("pass", "report"):
@@ -303,10 +302,10 @@ def build_parser():
         sp.add_argument("--input", help="graph6 file, one graph per line")
         sp.add_argument("--nmax", type=int,
                         help="built-in enumeration bound (connected graphs)")
-        sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("solve", help="cop numbers for a graph6 stream")
     common(sp)
+    sp.add_argument("--json", action="store_true")
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
                     help="budget per solve of c on states and bytes kept")
     sp.add_argument("--timing", action="store_true")
@@ -319,6 +318,7 @@ def build_parser():
 
     sp = sub.add_parser("scan", help="theorem and conjecture scans")
     common(sp)
+    sp.add_argument("--json", action="store_true")
     sp.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
                     help="budget per solve on states and bytes kept")
     sp.add_argument("--seed", type=int, default=0, help="echoed in the header")
@@ -334,6 +334,7 @@ def build_parser():
 
     sp = sub.add_parser("trap", help="per-vertex trap thresholds")
     common(sp)
+    sp.add_argument("--json", action="store_true")
     sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(func=cmd_trap)
 
@@ -363,9 +364,6 @@ def main(argv=None, out=None):
         # would fail again, so stdout goes to the null device
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-    except StateBudgetError as e:
-        print("resource error: %s" % e, file=sys.stderr)
-        return EXIT_RESOURCE
     except (CopwinError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

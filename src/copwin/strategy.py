@@ -14,8 +14,12 @@ the robber.  It is checked, not assumed, by simulation against the
 exactly-optimal robber on every theorem 1 class with n <= 9, and it
 fails on one of them: on the bipartite diameter-3 graph GkCPXW (n = 8,
 c = 2, 4 planned cops) the play repeats every two rounds from round 3
-and the robber survives.  That robber is the SolveResult of the full
-game: its robber_placement and robber_move are the optimal replies.
+and the robber survives.  It fails on the bipartite diameter-3 Heawood
+graph too (n = 14, c = 3, 5 planned cops): the play repeats every six
+rounds from round 4, but only with OPTIMAL_ROBBER_STATE_CAP raised, since
+under the cap the greedy robber plays there.  The optimal robber is the
+SolveResult of the full game: its robber_placement and robber_move are
+the optimal replies.
 """
 
 from __future__ import annotations

@@ -239,6 +239,35 @@ def test_budget_or_max_k_below_one_exits_usage(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_json_reports_are_json_on_every_line(bad_file, capsys):
+    # every stdout line of a --json run is one JSON object, parse_error
+    # records and summaries included; simulate writes text traces and
+    # has no --json
+    for argv, want_lines, want_code in (
+        (["solve", "--input", bad_file], 2, EXIT_USAGE),
+        (["scan", "--check", "lemma4", "--all", "--input", bad_file], 3, EXIT_USAGE),
+        (["trap", "--input", bad_file], 2, EXIT_USAGE),
+        (["ineq", "--mmax", "100"], 1, EXIT_OK),
+    ):
+        code, text = run(argv + ["--json"])
+        lines = text.splitlines()
+        assert (len(lines), code) == (want_lines, want_code)
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+    with pytest.raises(SystemExit) as e:
+        run(["simulate", "--input", bad_file, "--json"])
+    assert e.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_graph6_n0_line_exits_usage(tmp_path):
+    p = tmp_path / "n0.g6"
+    p.write_text("?\n")
+    code, text = run(["solve", "--input", str(p)])
+    assert code == EXIT_USAGE
+    assert text == ("line=1 status=parse_error error=graph6 n=0 not supported "
+                    "(graphs are nonempty) (byte offset 0)\n")
+
+
 def test_resource_exit_wins_over_bad_input(bad_file):
     code, text = run(["solve", "--budget", "10", "--input", bad_file])
     assert "status=parse_error" in text and "status=unresolved" in text
@@ -515,6 +544,12 @@ class TestIneq:
         _, text = run(["ineq", "--mmax", "1000", "--json"])
         rec = json.loads(text.strip())
         assert rec["violations"] == 0
+
+    def test_violation_exits_violation(self, monkeypatch):
+        monkeypatch.setattr(copwin.cli, "verify_key_inequality", lambda mmax: [5])
+        code, text = run(["ineq", "--mmax", "100"])
+        assert code == EXIT_VIOLATION
+        assert text == "m=5 verdict=fail\n# summary check=ineq mmax=100 violations=1\n"
 
 
 # sha256 of `copwin simulate --nmax 7` stdout: 2,242 lines, one trace per

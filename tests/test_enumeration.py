@@ -66,6 +66,8 @@ class TestLabeledEnumeration:
             list(enumerate_connected(9))
         with pytest.raises(ValueError):
             list(enumerate_connected(0))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            graph_classes(0)
 
 
 def relabel(g, perm):

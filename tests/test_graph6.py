@@ -46,6 +46,20 @@ class TestParse:
         assert str(e.value) == "nonzero padding bit (byte offset %d)" % offset
         assert e.value.offset == offset
 
+    @pytest.mark.parametrize("prefix", ["", ">>graph6<<"], ids=["plain", "prefixed"])
+    @pytest.mark.parametrize("line, message, offset", [
+        ("~", "truncated extended-n header", 1),
+        ("~??", "truncated extended-n header", 3),
+        ("~~??????", "8-byte n encoding not supported (n > 258047)", 1),
+        ("?", "graph6 n=0 not supported (graphs are nonempty)", 0),
+    ])
+    def test_header_refusals_name_offset(self, prefix, line, message, offset):
+        offset += len(prefix)
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6(prefix + line)
+        assert str(e.value) == "%s (byte offset %d)" % (message, offset)
+        assert e.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):
             parse_graph6("A__")

@@ -157,6 +157,9 @@ class TestGraphBasics:
         g = Graph(5, [(4, 2), (2, 0), (2, 3)])
         assert g.neighbors(2) == [0, 3, 4]
 
+    def test_repr(self):
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, edges=[(0, 1)])"
+
 
 class TestMetrics:
     def test_diameter_complete(self):

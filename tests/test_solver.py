@@ -122,6 +122,29 @@ class TestCopNumber:
         with pytest.raises(CopwinError):
             cop_number(g, max_k=3)
 
+    def test_dismantlability_mismatch_raises(self, monkeypatch):
+        # a solver that lets one cop win C5, which has no corner
+        monkeypatch.setattr(solver, "wins", lambda g, cfg, budget: True)
+        with pytest.raises(CopwinError, match="solver/dismantlability mismatch"):
+            cop_number(cycle(5))
+
+    def test_cover_bound_below_lower_bound_raises(self, petersen_graph, monkeypatch):
+        # Petersen has girth 5 and degree 3, so LB = 3; one closed
+        # neighbourhood cannot cover it
+        monkeypatch.setattr(solver, "min_cover", lambda *args: (1, [0]))
+        with pytest.raises(CopwinError, match="cover bound 1 below lower bound 3"):
+            cop_number(petersen_graph)
+
+    def test_above_the_transversal_caps(self):
+        # 65 vertices: the cover search refuses, so the search runs with
+        # no UB; teleport's fixpoint needs the cover search and refuses
+        g = cycle(65)
+        assert _bounds(g, GameConfig())[1] is None
+        assert cop_number(g) == 2
+        assert restricted_cop_number(g, range(10)) == 1
+        with pytest.raises(ValueError, match="transversal solver capped"):
+            teleport_cop_number(g)
+
     def test_core_keeps_cop_number(self):
         # c(G) = c(core), solved on both sides without bounds
         for n in range(1, 8):
@@ -320,6 +343,17 @@ class TestGameSemantics:
                         query(pos, r, turn)
             with pytest.raises(KeyError, match="not in the arena"):
                 res.robber_move(pos, r)
+
+    def test_queries_refuse_states_they_do_not_answer(self):
+        # one cop loses on C5: no level on a robber-win state, no reply
+        # once the robber is caught, and no third turn
+        res = cops_win(cycle(5), GameConfig(k=1))
+        with pytest.raises(KeyError, match="is not a cop-win state"):
+            res.level_of((0,), 2, "cops")
+        with pytest.raises(KeyError, match="is already a capture"):
+            res.cop_move((0,), 0)
+        with pytest.raises(KeyError):
+            res.is_cop_win((0,), 1, "both")
 
     def test_capture_level_zero_when_placed_on_robber(self):
         g = path(3)
@@ -591,6 +625,10 @@ class TestRestricted:
         g = cycle(4)
         with pytest.raises(ValueError):
             Arena.from_edges(g, range(4), [(0, 2)])
+        with pytest.raises(ValueError, match=r"arena edge \(0, 2\) leaves the arena"):
+            Arena.from_edges(cycle(5), [0, 1], [(0, 2)])
+        with pytest.raises(ValueError, match="arena must be nonempty"):
+            restricted_cop_number(g, [])
         # the check returns the arena's vertex mask
         assert Arena.induced(g, (0, 2, 3)).validate_against(g) == 0b1101
         assert Arena.from_edges(g, [1], []).validate_against(g) == 0b10
@@ -697,6 +735,9 @@ class TestRestricted:
     def test_c_g_of_m_cap(self, petersen_graph):
         with pytest.raises(ValueError):
             c_G_of_m(petersen_graph, 3)
+        for m in (0, 6):
+            with pytest.raises(ValueError, match=r"m must be in 1\.\.n"):
+                c_G_of_m(cycle(5), m)
 
 
 class TestTeleport:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from copwin import solver, strategy
 from copwin.enumeration import connected_graph_classes
 from copwin.families import complete, cycle, petersen, polarity
 from copwin.graph6 import parse_graph6
@@ -138,6 +139,22 @@ class TestSimulate:
         trace = simulate(g, build_theorem1_plan(g))
         assert trace.outcome == "captured"
 
+    def test_optimal_robber_plays_on_heawood_under_default_budget(self, heawood_graph, monkeypatch):
+        # its table (5 cops, 14 vertices) fits the default budget but not
+        # OPTIMAL_ROBBER_STATE_CAP, under which the greedy robber plays
+        monkeypatch.setattr(strategy, "OPTIMAL_ROBBER_STATE_CAP", solver.DEFAULT_STATE_BUDGET)
+        trace = simulate(heawood_graph, build_theorem1_plan(heawood_graph))
+        assert trace.robber_policy == "optimal"
+
+    @pytest.mark.xfail(strict=True, reason="the chase cycles on Heawood against the optimal "
+                       "robber: the bipartite diameter-3 chase of ROADMAP item 1")
+    def test_captures_on_heawood_optimal(self, heawood_graph, monkeypatch):
+        # n = 14, c = 3, 5 planned cops: the play repeats every six rounds
+        # from round 4 and the robber survives all 4n = 56 rounds
+        monkeypatch.setattr(strategy, "OPTIMAL_ROBBER_STATE_CAP", solver.DEFAULT_STATE_BUDGET)
+        trace = simulate(heawood_graph, build_theorem1_plan(heawood_graph))
+        assert trace.outcome == "captured"
+
     def test_deterministic(self, petersen_graph):
         plan = build_theorem1_plan(petersen_graph)
         t1 = simulate(petersen_graph, plan)
@@ -164,9 +181,8 @@ class TestSimulate:
     def test_survived_when_rounds_too_few(self, petersen_graph):
         plan = build_theorem1_plan(petersen_graph)
         trace = simulate(petersen_graph, plan, max_rounds=0)
-        assert trace.outcome in ("captured", "survived")
-        if trace.outcome == "survived":
-            assert trace.capture_round is None
+        assert (trace.outcome, trace.capture_round) == ("survived", None)
+        assert format_trace(trace).endswith("survived rounds=0\n")
 
 
 class TestFormatTrace:

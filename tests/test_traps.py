@@ -210,6 +210,11 @@ class TestTrapThreshold:
                 sizes[want] += 1
         assert all(sizes[t] for t in range(5))
 
+    def test_refuses_vertex_off_the_graph(self):
+        g = cycle(5)
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            trap_threshold(g, g.n)
+
     def test_refuses_graphs_over_the_cap(self):
         # the cap of the transversal solver, even where no search is needed
         g = Graph(TRANSVERSAL_MAX_N + 1, [(0, 1)])
@@ -252,6 +257,11 @@ class TestTrapPredicates:
                     a - 1 - c < 0 or n - a > (a - 1 - c) ** 2 for a, c in counts.items()
                 )
                 assert check_lemma5(n, trap_report(g)[0]) == (holds, margin)
+
+    def test_check_lemma5_fails_on_too_few_traps(self):
+        # n = 4, every threshold 4: no vertex is an alpha-trap below
+        # alpha = 4, and at alpha = 3 the margin -2 breaks the lemma
+        assert check_lemma5(4, [4, 4, 4, 4]) == (False, -2)
 
     def test_check_lemma4(self, petersen_graph):
         assert check_lemma4(petersen_graph)
