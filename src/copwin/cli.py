@@ -44,7 +44,7 @@ from .strategy import (
     build_theorem1_plan,
     format_trace,
     simulate,
-    theorem1_applies,
+    theorem1_hypothesis,
     verify_key_inequality,
 )
 from .traps import check_lemma4, check_lemma5, trap_report
@@ -161,17 +161,18 @@ def _scan_one(check, g, budget):
     outside the check's hypothesis: theorem 1's for theorem1, diameter
     <= 2 for the two conjectures.  verdict is one of pass, fail, report,
     candidate (conjecture counterexample)."""
-    if check == "theorem1" and not theorem1_applies(g):
-        return None
     n = g.n
     d = diameter(g)
     if check in ("conj_sqrt_n", "conj_teleport") and d > 2:
+        return None
+    bipartite = is_bipartite(g)
+    if check == "theorem1" and not theorem1_hypothesis(d, lambda: bipartite):
         return None
     rec = {
         "graph": emit_graph6(g),
         "n": n,
         "diameter": _fmt_diameter(d),
-        "bipartite": str(is_bipartite(g)).lower(),
+        "bipartite": str(bipartite).lower(),
     }
     if check == "theorem1":
         bound = math.isqrt(2 * n)
@@ -282,9 +283,10 @@ def cmd_ineq(args, out, found):
 def cmd_simulate(args, out, found):
     _check_at_least("--max-rounds", args.max_rounds, 0)
     for g in _graphs(args, out, found):
-        if not theorem1_applies(g):
+        try:
+            plan = build_theorem1_plan(g)
+        except ValueError:
             continue  # the plan exists only under theorem 1's hypothesis
-        plan = build_theorem1_plan(g)
         trace = simulate(g, plan, robber_policy=args.robber,
                          max_rounds=args.max_rounds)
         out.write("graph %s cops=%d\n" % (emit_graph6(g), plan.total_cops))

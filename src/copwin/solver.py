@@ -18,8 +18,8 @@ run on whole vectors at C speed:
   built from one 256-entry superset indicator per move-mask byte.
   The vertices whose every move lies in a field are the AND over b of
   lane b translated through tables[b][o].  The tables depend only on
-  the robber's moves, so an arena changes only them; they are cached
-  for the solves that repeat a graph's robber moves (see
+  the robber's moves, so an arena changes only them; they are cached,
+  which pays in the preceq check's four solves per graph (see
   ``_step_tables``).
 * One cop's move.  Split the vector into n blocks of n^(k-1) fields,
   one per vertex v of cop 1.  Output block v is the OR of input blocks
@@ -143,18 +143,25 @@ class Arena:
     vertices: tuple
     adj: tuple  # bitmasks indexed by G-vertex label; zero off the arena
 
+    @staticmethod
+    def _labels(g, verts):
+        """verts sorted without repeats, checked to be labels of g before
+        any of them is used as a shift count."""
+        verts = tuple(sorted(set(verts)))
+        for v in verts[:1] + verts[-1:]:
+            if not 0 <= v < g.n:
+                raise ValueError("arena vertex %d out of range or out of order" % v)
+        return verts
+
     @classmethod
     def induced(cls, g, verts):
-        verts = tuple(sorted(set(verts)))
+        verts = cls._labels(g, verts)
         vm = sum(1 << v for v in verts)
         return cls(verts, tuple(a & vm if vm >> v & 1 else 0 for v, a in enumerate(g.adj)))
 
     @classmethod
     def from_edges(cls, g, verts, edges):
-        verts = tuple(sorted(set(verts)))
-        for v in verts[:1] + verts[-1:]:
-            if not 0 <= v < g.n:
-                raise ValueError("arena vertex %d out of range or out of order" % v)
+        verts = cls._labels(g, verts)
         vset = set(verts)
         adj = [0] * g.n
         for u, v in edges:
@@ -348,11 +355,12 @@ def _step_tables(nb, moves):
     r's moves in lane b shifted to r's bit; the bits differ, so nothing
     carries.  One pass over the moves fills every table of a lane b.
 
-    The cache pays where one graph is solved again with the same robber
-    moves: the preceq check, and the restricted searches over one
-    arena.  The standard cop-number search seldom hits it, as it solves
-    k = 1 on G and k >= 2 on the core; the teleport game builds no
-    vectors."""
+    The cache pays in the preceq check: its four solves per graph (the
+    fixpoint and the no-pass game, at k = 1 and 2) share one set of
+    robber moves, so three of them hit it.  Elsewhere it seldom hits:
+    the bounds leave a restricted search about one k to solve per
+    arena, the standard cop-number search solves k = 1 on G and k >= 2
+    on the core, and the teleport game builds no vectors."""
     sums = [[0] * nb for _ in range(nb)]  # sums[b][o]
     for b, row in enumerate(sums):
         for r, mv in moves:

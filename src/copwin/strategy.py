@@ -17,7 +17,10 @@ c = 2, 4 planned cops) the play repeats every two rounds from round 3
 and the robber survives.  It fails on the bipartite diameter-3 Heawood
 graph too (n = 14, c = 3, 5 planned cops): the play repeats every six
 rounds from round 4, but only with OPTIMAL_ROBBER_STATE_CAP raised, since
-under the cap the greedy robber plays there.  The optimal robber is the
+under the cap the greedy robber plays there.  On the bipartite diameter-3
+graph G_U_hS (n = 8, c = 2, 4 mobile cops) both robbers are caught, but
+a scripted one placed on 4 that moves 7, 6, 7, 6, ... survives: from
+round 3 the cops alternate 3,5,1,3 and 4,2,0,4.  The optimal robber is the
 SolveResult of the full game: its robber_placement and robber_move are
 the optimal replies.
 """
@@ -28,14 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StateBudgetError
-from .graphs import (
-    Graph,
-    bfs_distances,
-    bits,
-    diameter,
-    is_bipartite,
-    is_connected,
-)
+from .graphs import bfs_distances, bits, diameter, is_bipartite
 from .solver import Arena, GameConfig, cops_win
 
 # the optimal robber's solve budget, on its states and on the bytes its
@@ -82,23 +78,30 @@ class StrategyTrace:
     robber_policy: str  # "optimal" | "greedy"
 
 
+def theorem1_hypothesis(d, bipartite):
+    """Theorem 1's hypothesis on a graph's diameter d (math.inf when it is
+    disconnected): d <= 2, or d = 3 and the graph is bipartite.
+    bipartite is a callable with no arguments, called only at d = 3."""
+    return d <= 2 or (d == 3 and bipartite())
+
+
 def theorem1_applies(g):
-    """Theorem 1's hypothesis: g is connected, and has diameter <= 2 or is
-    bipartite of diameter 3.  A disconnected graph has infinite diameter,
-    so the diameter test also rules it out."""
-    d = diameter(g)
-    return d <= 2 or (d == 3 and is_bipartite(g))
+    """Whether g meets theorem 1's hypothesis: it is connected, and has
+    diameter <= 2 or is bipartite of diameter 3."""
+    return theorem1_hypothesis(diameter(g), lambda: is_bipartite(g))
 
 
 def build_theorem1_plan(g):
     """Park stationary cops on high-degree vertices until the residual
-    arena has bounded degree, then budget mobile cops for the chase."""
-    if not theorem1_applies(g):
-        if not is_connected(g):
+    arena has bounded degree, then budget mobile cops for the chase.
+    Raises ValueError outside theorem 1's hypothesis."""
+    d = diameter(g)
+    if not theorem1_hypothesis(d, lambda: is_bipartite(g)):
+        if d == math.inf:
             raise ValueError("plan requires a connected graph")
         raise ValueError(
             "plan requires diameter <= 2, or a bipartite graph of diameter 3 "
-            "(got diameter %s)" % diameter(g)
+            "(got diameter %s)" % d
         )
     alive = (1 << g.n) - 1
     guards = []

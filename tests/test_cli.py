@@ -552,6 +552,30 @@ class TestIneq:
         assert text == "m=5 verdict=fail\n# summary check=ineq mmax=100 violations=1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--nmax", "7"],
+    ["scan", "--check", "theorem1", "--all", "--nmax", "7"],
+])
+def test_theorem1_hypothesis_walked_once_per_graph(argv, monkeypatch):
+    # 996 connected classes on at most 7 vertices: one diameter walk
+    # each, and at most one bipartiteness walk
+    calls = {"diameter": 0, "is_bipartite": 0}
+
+    def counting(name, fn):
+        def wrapper(g):
+            calls[name] += 1
+            return fn(g)
+        return wrapper
+
+    for module in (copwin.cli, copwin.strategy):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, _ = run(argv)
+    assert code == EXIT_OK
+    assert calls["diameter"] == 996
+    assert calls["is_bipartite"] <= 996
+
+
 # sha256 of `copwin simulate --nmax 7` stdout: 2,242 lines, one trace per
 # theorem 1 class on at most 7 vertices
 SIMULATE_NMAX7_SHA256 = "46eb5fe8f0f921131413c3d71ed622100280f697c3dfe42193e942dc5d71f3b5"

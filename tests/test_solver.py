@@ -640,6 +640,13 @@ class TestRestricted:
         with pytest.raises(ValueError, match="out of range"):
             Arena.from_edges(cycle(4), [0, off], [(0, off)])
 
+    @pytest.mark.parametrize("verts", [[-1], [0, 2**70]])
+    def test_induced_checks_vertex_range_first(self, verts):
+        # checked before 1 << v is built: not a negative shift count, an
+        # OverflowError, or a huge int for a huge label
+        with pytest.raises(ValueError, match="out of range"):
+            restricted_cop_number(cycle(5), verts)
+
     def test_arena_rejects_one_sided_edges(self):
         # the robber may step 0 -> 1 but not 1 -> 0: a directed arena
         g = cycle(6)

@@ -139,6 +139,25 @@ class TestSimulate:
         trace = simulate(g, build_theorem1_plan(g))
         assert trace.outcome == "captured"
 
+    @pytest.mark.xfail(strict=True, reason="the chase cycles on G_U_hS against a scripted "
+                       "robber: the bipartite diameter-3 chase of ROADMAP item 1")
+    def test_captures_on_g_u_hs_scripted(self, monkeypatch):
+        # n = 8, bipartite, diameter 3, c = 2, 4 mobile cops, no guards;
+        # the optimal and greedy robbers are caught in round 3, but a robber
+        # placed on 4 that moves 7, 6, 7, 6, ... survives: from round 3 the
+        # play alternates cops 3,5,1,3 / robber 7 and cops 4,2,0,4 / robber 6
+        class Scripted:
+            def robber_placement(self, cops):
+                return 4
+
+            def robber_move(self, cops, robber):
+                return {4: 7, 7: 6, 6: 7}[robber]
+
+        monkeypatch.setattr(strategy, "_robber_policy", lambda g, plan, name: Scripted())
+        g = parse_graph6("G_U_hS")
+        trace = simulate(g, build_theorem1_plan(g))
+        assert trace.outcome == "captured"
+
     def test_optimal_robber_plays_on_heawood_under_default_budget(self, heawood_graph, monkeypatch):
         # its table (5 cops, 14 vertices) fits the default budget but not
         # OPTIMAL_ROBBER_STATE_CAP, under which the greedy robber plays
