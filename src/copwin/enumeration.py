@@ -31,10 +31,9 @@ the chosen ordering unchanged:
 Each class on n vertices is generated once, with no set of seen forms:
 
 * every class on n - 1 gains a new vertex x of minimum degree, one
-  child per Aut(base)-orbit of its admissible neighbour sets, read from
-  the generators the canonical search yields (sets in one orbit give
-  isomorphic children).  Deleting a minimum-degree vertex from a graph
-  on n vertices leaves one on n - 1, so no class is missed;
+  child per Aut(base)-orbit of its admissible neighbour sets (sets in
+  one orbit give isomorphic children).  Deleting a minimum-degree vertex
+  from a graph on n vertices leaves one on n - 1, so no class is missed;
 * a graph's canonical deletion vertex is the first in canonical_order
   among its minimum-degree vertices of the top invariant: the sum of the
   neighbours' degrees, then the triangles through the vertex.  A child
@@ -44,7 +43,10 @@ Each class on n vertices is generated once, with no set of seen forms:
 
 A kept child G is then a child of the class of G minus its deletion
 vertex only, and within that base of the one orbit of neighbour sets
-whose child maps x to the deletion vertex, so it comes out once.
+whose child maps x to the deletion vertex, so it comes out once.  One
+walk, ``_orbit``, reads every orbit off the generators of Aut(G) that
+the canonical search yields: of neighbour sets in ``_children``, of the
+deletion vertex in ``graph_classes`` and of arenas in ``solver.c_G_of_m``.
 """
 
 from __future__ import annotations
@@ -255,24 +257,24 @@ def graph_classes(n):
         for child, rivals in _children(base):
             order, nbrs, gens = _order_and_neighbors(child)
             if rivals:
-                # the deletion vertex is the first tied vertex in the
-                # canonical order; keep the child when x is in its orbit
+                # x must share an orbit with the deletion vertex: the first tied one in order
                 tied = rivals | 1 << x
-                if x not in _orbit(next(v for v in order if tied >> v & 1), gens):
+                if 1 << x not in _orbit(1 << next(v for v in order if tied >> v & 1), gens):
                     continue
             reps.append(_relabel(order, nbrs))
     return tuple(sorted(reps, key=lambda g: g.adj))
 
 
-def _orbit(v, gens):
-    """The orbit of v under the group the permutations gens generate."""
-    orbit = {v}
-    todo = [v]
-    for u in todo:
-        for perm in gens:
-            if perm[u] not in orbit:
-                orbit.add(perm[u])
-                todo.append(perm[u])
+def _orbit(mask, gens):
+    """The orbit of the vertex set mask, as a set of masks, under the
+    group the permutations gens generate."""
+    images = [[1 << v for v in perm] for perm in gens]
+    orbit = {mask}
+    todo = [mask]
+    for m in todo:
+        new = {sum(map(img.__getitem__, bits(m))) for img in images} - orbit
+        orbit |= new
+        todo += new
     return orbit
 
 
@@ -311,7 +313,7 @@ def _children(base):
     for u, d in enumerate(degs):
         of_deg[d] |= 1 << u
     new_bit = 1 << base.n
-    images = None
+    gens = None
     seen = set()
     for nb_mask in _neighbour_sets(degs):
         if nb_mask in seen:
@@ -337,14 +339,9 @@ def _children(base):
             if key == top:
                 rivals |= 1 << u
         else:
-            if images is None:  # base is searched once one set passes
-                images = [[1 << x for x in perm] for perm in _order_and_neighbors(base)[2]]
-            orbit = [nb_mask]
-            seen.add(nb_mask)
-            for m in orbit:
-                new = {sum(img[u] for u in bits(m)) for img in images} - seen
-                seen |= new
-                orbit += new
+            if gens is None:  # base is searched once one set passes
+                gens = _order_and_neighbors(base)[2]
+            seen |= _orbit(nb_mask, gens)
             masks = [m | new_bit if nb_mask >> u & 1 else m for u, m in enumerate(adj)]
             masks.append(nb_mask)
             yield Graph.from_masks(masks), rivals

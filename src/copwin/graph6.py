@@ -73,6 +73,8 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
             )
         n = (ord(line[1]) - 63) << 12 | (ord(line[2]) - 63) << 6 | ord(line[3]) - 63
         head = 4
+        if n <= 62:  # emit writes it in one byte: the line would not round-trip
+            raise Graph6Error("4-byte header for n=%d <= 62" % n, offset=base)
     if n == 0:
         raise Graph6Error("graph6 n=0 not supported (graphs are nonempty)", offset=base)
     if n > max_n:
@@ -91,9 +93,7 @@ def parse_graph6(text, max_n=DEFAULT_MAX_N):
             offset=body_base + got,
         )
     if got > need:
-        raise Graph6Error(
-            "trailing bytes after adjacency section", offset=body_base + need
-        )
+        raise Graph6Error("trailing bytes after adjacency section", offset=body_base + need)
     # only now, with the line's length fixed by n, build the integer
     t = int("".join([_BITS[ch] for ch in reversed(line)]), 2) >> 6 * head
     # padding bits (all in the last byte) must be zero: parse/emit is bit-exact

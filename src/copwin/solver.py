@@ -126,6 +126,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
 
+from .enumeration import _orbit, _order_and_neighbors
 from .errors import CopwinError, StateBudgetError
 from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
 from .traps import min_cover
@@ -692,17 +693,19 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
 
     Induced arenas suffice: removing robber edges only constrains the
     robber, so the maximum is attained at the edge-maximal (induced)
-    sub-arena.
+    sub-arena.  An automorphism maps the game on an arena onto the game
+    on its image, so one arena per Aut(G)-orbit of m-sets is solved.
     """
     if g.n > C_G_OF_M_MAX_N:
-        raise ValueError(
-            "c_G_of_m capped at n <= %d (C(n,m) solves)" % C_G_OF_M_MAX_N
-        )
+        raise ValueError("c_G_of_m capped at n <= %d (C(n,m) solves)" % C_G_OF_M_MAX_N)
     if not 1 <= m <= g.n:
         raise ValueError("m must be in 1..n")
-    best = 0
-    for verts in combinations(range(g.n), m):
-        best = max(best, restricted_cop_number(g, verts, budget=budget))
+    gens = _order_and_neighbors(g)[2]
+    best, seen = 0, set()
+    for mask in map(sum, combinations([1 << v for v in range(g.n)], m)):
+        if mask not in seen:
+            seen |= _orbit(mask, gens)
+            best = max(best, restricted_cop_number(g, bits(mask), budget=budget))
     return best
 
 

@@ -52,6 +52,7 @@ class TestParse:
         ("~??", "truncated extended-n header", 3),
         ("~~??????", "8-byte n encoding not supported (n > 258047)", 1),
         ("?", "graph6 n=0 not supported (graphs are nonempty)", 0),
+        ("~??A_", "4-byte header for n=2 <= 62", 0),
     ])
     def test_header_refusals_name_offset(self, prefix, line, message, offset):
         offset += len(prefix)

@@ -739,6 +739,35 @@ class TestRestricted:
         got = hashlib.sha256(text.encode()).hexdigest()
         assert got == "9ef6911bef2e1d4188fa75731c388931e546e257c4410d63245bd449aa1b2ed2"
 
+    @pytest.mark.parametrize("g, m, solves, value", [
+        (cycle(6), 3, 3, 1),  # C(6, 3) = 20 arenas in 3 rotation-reflection orbits
+        (complete(5), 2, 1, 1),
+        (path(4), 2, 4, 1),  # {01, 23}, {12}, {02, 13}, {03}
+        # no automorphism but the identity: every one of the C(6, 3) arenas
+        (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)]), 3, 20, 1),
+    ], ids=["C6", "K5", "P4", "asymmetric"])
+    def test_c_g_of_m_solves_one_arena_per_orbit(self, monkeypatch, g, m, solves, value):
+        arenas = []
+
+        def counted(g, arena, budget):
+            arenas.append(arena)
+            return restricted_cop_number(g, arena, budget)
+
+        monkeypatch.setattr(solver, "restricted_cop_number", counted)
+        assert c_G_of_m(g, m) == value
+        assert len(arenas) == solves
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 1 << 21), st.randoms(), st.data())
+    def test_c_g_of_m_is_max_over_every_arena(self, n, mask, rnd, data):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for i, (u, v) in enumerate(pairs) if mask >> i & 1])
+        m = data.draw(st.integers(1, n))
+        best = max(restricted_cop_number(g, verts) for verts in combinations(range(n), m))
+        assert c_G_of_m(g, m) == best
+
     def test_c_g_of_m_cap(self, petersen_graph):
         with pytest.raises(ValueError):
             c_G_of_m(petersen_graph, 3)
