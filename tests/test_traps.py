@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copwin.enumeration import connected_graph_classes
-from copwin.families import complete, cycle, path, petersen
+from copwin.families import (
+    complete,
+    cycle,
+    hoffman_singleton,
+    incidence,
+    path,
+    petersen,
+    polarity,
+)
 from copwin.graphs import Graph
 from copwin.traps import (
     TRANSVERSAL_MAX_N,
@@ -140,6 +148,32 @@ class TestMinTransversal:
         edges = [g.closed_mask(v) for v in range(g.n)]
         assert _min_transversal_masks(g.n, edges, max_nodes=1) is None
         assert _min_transversal_masks(g.n, edges, max_nodes=10**6)[0] == 3
+
+    @pytest.mark.parametrize(
+        "name, floor, nodes, witness",
+        [
+            ("petersen", 0, 12, [0, 1, 4]),
+            ("heawood", 0, 16, [5, 11, 2, 8]),
+            ("polarity5", 2, 30, [11, 12, 30, 13, 14]),
+            ("hoffman_singleton", 7, 7, [7, 10, 36, 37, 18, 21, 4]),
+            ("polarity7", 0, 56, [2, 12, 25, 48, 15, 52, 28]),
+        ],
+    )
+    def test_search_tree_pinned(self, name, floor, nodes, witness):
+        # the search on closed neighbourhoods: the least node cap at which
+        # it answers, and the witness it answers with, pin its tree
+        g = {
+            "petersen": petersen,
+            "heawood": lambda: incidence(2),
+            "polarity5": lambda: polarity(5),
+            "hoffman_singleton": hoffman_singleton,
+            "polarity7": lambda: polarity(7),
+        }[name]()
+        edges = [g.closed_mask(v) for v in range(g.n)]
+        assert _min_transversal_masks(g.n, edges, floor, nodes - 1) is None
+        found = _min_transversal_masks(g.n, edges, floor, nodes)
+        assert found == (len(witness), witness)
+        assert _min_transversal_masks(g.n, edges, floor) == found
 
 
 class TestChvatalBound:
