@@ -222,6 +222,7 @@ def _order_and_neighbors(g):
         return improved
 
     dfs(0, True)
+    del dfs  # it names itself: freed by refcounting, not the cyclic GC
     if leaves:
         position = sorted(range(n), key=best_order.__getitem__)
         gens += [[leaf[i] for i in position] for leaf in leaves]

@@ -90,9 +90,11 @@ ends in the closed neighbourhood of a cop.  So a cops-to-move state
 depends only on the robber's vertex r, and the cops win from r within
 one more round exactly when his moves outside the won set W lie in k
 closed neighbourhoods of vertices other than r.  W grows from the empty
-set by such r, each tested by traps.min_cover (the one cover query),
-and k cops win exactly when k closed neighbourhoods cover the arena
-outside the final W (_teleport_wins, within min_cover's caps).
+set by such r, and k cops win exactly when k closed neighbourhoods
+cover the arena outside the final W (_teleport_wins, within
+min_cover's caps).  Each test asks traps.min_cover (the one cover
+query) for its decision at_most=k: the search looks only for covers of
+at most k vertices and stops at the first, so no test proves a minimum.
 
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
@@ -583,9 +585,9 @@ def _teleport_wins(g, cfg):
     while won != last:
         last = won
         for r, moves in rob_moves.items():
-            if not won >> r & 1 and min_cover(g, moves & ~won, 1 << r, k)[0] <= k:
+            if not won >> r & 1 and min_cover(g, moves & ~won, 1 << r, at_most=k)[0] <= k:
                 won |= 1 << r
-    return min_cover(g, full & ~won, 0, k)[0] <= k
+    return min_cover(g, full & ~won, at_most=k)[0] <= k
 
 
 def cop_number(g, budget=DEFAULT_STATE_BUDGET, max_k=None):

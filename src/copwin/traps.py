@@ -8,7 +8,10 @@ closed neighbourhoods hold a set mask (here N(v)), an exact minimum
 hitting set by the one transversal solver.  Nearly all thresholds of
 small graphs are 1 or 2 (93,338 of the 95,717 over the connected
 classes n <= 8), and the solver answers covers of up to two vertices
-from ANDs of the edges, without search.
+from ANDs of the edges, without search.  Given at_most = k, the query
+is a decision instead: a cover of at most k vertices, or none, with no
+proof of the minimum; the teleport game asks it.  The search beneath
+runs on edge-incidence masks (see _min_transversal_masks).
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -50,31 +53,6 @@ class Hypergraph:
         return sizes.pop() if len(sizes) == 1 else None
 
 
-def _matching_lower_bound(edge_masks):
-    """Greedy disjoint-edge matching: pairwise disjoint edges each need
-    their own transversal vertex."""
-    used = 0
-    count = 0
-    for e in edge_masks:
-        if e & used == 0:
-            used |= e
-            count += 1
-    return count
-
-
-def _counting_bound_prunes(edge_masks, need):
-    """True when ceil(m / D) >= need, where m edges remain and D is the
-    most of them any one vertex hits: each chosen vertex hits at most D."""
-    m = len(edge_masks)
-    if m < need:
-        return False  # ceil(m / D) <= m
-    union = 0
-    for e in edge_masks:
-        union |= e
-    most = max(sum(e >> v & 1 for e in edge_masks) for v in bits(union))
-    return -(-m // most) >= need
-
-
 def min_transversal(h):
     """Exact minimum hitting set: (size, witness frozenset)."""
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
@@ -82,16 +60,7 @@ def min_transversal(h):
     return size, frozenset(witness)
 
 
-def _branch_order(pivot, edge_masks):
-    """The pivot's vertices in search order: most edges hit, then least label."""
-    return sorted(bits(pivot), key=lambda v: -sum(1 for e in edge_masks if e >> v & 1))
-
-
-class _Stop(Exception):
-    """Ends the branch and bound: at the floor, or out of nodes."""
-
-
-def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
+def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None):
     """Exact minimum hitting set of nonempty edge bitmasks over vertices
     0..n-1: (size, witness list).
 
@@ -103,13 +72,25 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     starts at m + 1, since one vertex per edge always hits every edge,
     so the first descent is never pruned and finds the first cover.
 
+    The search runs on edge-incidence masks.  The kept edges (deduped,
+    supersets dropped) are indexed in order of size, and the remaining
+    edges of a node are one int of those indices.  inc[v], the edges
+    that hold v, makes a branch on v rem & ~inc[v] and v's count of
+    remaining edges (inc[v] & rem).bit_count(); the pivot, a smallest
+    remaining edge, is the lowest remaining index.  The matching takes
+    the lowest remaining edge and clears every edge that meets it with
+    one precomputed mask, until no edge is left.
+
     floor is a lower bound on the answer known to the caller: the first
     cover of at most floor vertices ends the search.  For an exact
     minimum it must not exceed the true minimum, as the solver's cover
     bound guarantees (LB <= c <= gamma); above it, the search may stop
-    at a larger cover, but of at most floor vertices when one exists:
-    all the teleport fixpoint asks.  With max_nodes, the search gives up
-    and returns None after that many inner nodes.
+    at a larger cover, but of at most floor vertices when one exists.
+    With max_nodes, the search gives up and returns None after that
+    many inner nodes.  at_most = k asks the decision instead: the bound
+    starts at k + 1, so the search looks only for covers of at most k
+    vertices, the first it finds is the answer, and (math.inf, None)
+    says there is none.
 
     One exit rule answers covers of up to two vertices without search,
     on the edges as given.  No edges: size 0.  One vertex: when the AND
@@ -117,7 +98,7 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
     cover hits the first edge, so walk its vertices x in label order and
     AND the edges x misses; at the first x where that AND is nonzero,
     the answer is x and the least vertex of the AND.  Covers of three or
-    more vertices need the search.
+    more vertices need the search; a decision for k <= 1 needs neither.
     """
     if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
         raise ValueError(
@@ -126,11 +107,17 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
         )
     if not edge_masks:
         return 0, []
+    if at_most is None:
+        at_most = len(edge_masks)  # one vertex per edge
+    else:
+        floor = at_most  # every cover the search finds is small enough
     shared = -1
     for e in edge_masks:
         shared &= e
-    if shared:
+    if shared and at_most:
         return 1, [(shared & -shared).bit_length() - 1]
+    if at_most < 2:
+        return math.inf, None
     # no vertex hits every edge, so each x leaves some edge, and rest is
     # the AND of one or more edges
     for x in bits(edge_masks[0]):
@@ -153,38 +140,49 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None):
             kept.append(e)
     edge_masks = kept
 
-    best_size = len(edge_masks) + 1
-    best_set = None
+    inc = [0] * n  # inc[v]: the edges that hold v
+    for i, e in enumerate(edge_masks):
+        for v in bits(e):
+            inc[v] |= 1 << i
+    clear = []  # clear[i]: ~(the edges that meet edge i)
+    for e in edge_masks:
+        meets = 0
+        for v in bits(e):
+            meets |= inc[v]
+        clear.append(~meets)
+    best = min(len(edge_masks), at_most) + 1
+    witness = None
     left = math.inf if max_nodes is None else max_nodes
-
-    def branch(remaining, chosen):
-        nonlocal best_size, best_set, left
-        if not remaining:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = chosen[:]
-                if best_size <= floor:
-                    raise _Stop
-            return
+    # depth-first, children pushed in reverse so that they pop in order
+    stack = [((1 << len(edge_masks)) - 1, ())]
+    while stack:
+        rem, chosen = stack.pop()
+        if not rem:
+            if len(chosen) < best:
+                best, witness = len(chosen), list(chosen)
+                if best <= floor:
+                    break
+            continue
         left -= 1  # one inner node
         if left < 0:
-            raise _Stop
-        need = best_size - len(chosen)
-        if _matching_lower_bound(remaining) >= need or _counting_bound_prunes(remaining, need):
-            return
-        # branch over the vertices of a smallest remaining edge
-        pivot = min(remaining, key=int.bit_count)
-        for v in _branch_order(pivot, remaining):
-            chosen.append(v)
-            branch([e for e in remaining if not (e >> v & 1)], chosen)
-            chosen.pop()
-
-    try:
-        branch(edge_masks, [])
-    except _Stop:
-        if left < 0:
             return None
-    return best_size, best_set
+        need = best - len(chosen)
+        matched, r = 0, rem
+        while r and matched < need:
+            matched += 1
+            r &= clear[(r & -r).bit_length() - 1]
+        if matched >= need:
+            continue
+        m = rem.bit_count()
+        if m >= need and -(-m // max((h & rem).bit_count() for h in inc)) >= need:
+            continue
+        # branch over the vertices of a smallest remaining edge, most
+        # remaining edges hit first, then least label
+        pivot = edge_masks[(rem & -rem).bit_length() - 1]
+        order = sorted((-(inc[v] & rem).bit_count(), v) for v in bits(pivot))
+        for _, v in reversed(order):
+            stack.append((rem & ~inc[v], chosen + (v,)))
+    return (best, witness) if witness else (math.inf, None)
 
 
 def chvatal_bound(h):
@@ -197,19 +195,20 @@ def chvatal_bound(h):
     return Fraction((k // 2) * m + h.n, (3 * k) // 2)
 
 
-def min_cover(g, mask, avoid=0, floor=0, max_nodes=None):
+def min_cover(g, mask, avoid=0, floor=0, max_nodes=None, at_most=None):
     """The least number of vertices outside avoid whose closed
     neighbourhoods hold every vertex of mask, as the transversal
     search's (size, witness) on the edges N[u] - avoid, u in mask in
-    ascending order; floor and max_nodes as there.  None when the search
-    gives up, and (math.inf, None) when some N[u] lies inside avoid."""
+    ascending order; floor, max_nodes and the decision at_most as there.
+    None when the search gives up, and (math.inf, None) when some N[u]
+    lies inside avoid."""
     adj, keep = g.adj, ~avoid
     edges = []
     for u in bits(mask):  # on Python 3.11 a comprehension costs trap_threshold ~15%
         edges.append((adj[u] | 1 << u) & keep)
     if 0 in edges:
         return math.inf, None
-    return _min_transversal_masks(g.n, edges, floor, max_nodes)
+    return _min_transversal_masks(g.n, edges, floor, max_nodes, at_most)
 
 
 def trap_threshold(g, v):

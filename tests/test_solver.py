@@ -200,6 +200,25 @@ class TestMinCover:
                         covered |= g.closed_mask(w)
                     assert len(witness) == size and covered & mask == mask
 
+    def test_decision_matches_exact(self):
+        # the cases above on every connected class n <= 7: the decision
+        # for k finds a cover of at most k vertices just when one exists
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                cases = [(g.adj[v], 1 << v) for v in range(n)] + [((1 << n) - 1, 0)]
+                for mask, avoid in cases:
+                    size = min_cover(g, mask, avoid)[0]
+                    for k in range(1, 5):
+                        found, witness = min_cover(g, mask, avoid, at_most=k)
+                        if size > k:
+                            assert (found, witness) == (math.inf, None), (g, mask, avoid, k)
+                            continue
+                        covered = 0
+                        for w in witness:
+                            assert not avoid >> w & 1
+                            covered |= g.closed_mask(w)
+                        assert len(witness) == found <= k and covered & mask == mask
+
     def test_no_cover_outside_avoid(self):
         # N[0] of the path 0-1-2 lies inside {0, 1}: no vertex outside
         # covers 0, though 2 alone covers 1
@@ -807,6 +826,13 @@ class TestTeleport:
             (d,) = set(g.degrees())
             assert girth(g) >= 5 and -(-g.n // (d + 1)) >= d
             assert teleport_cop_number(g) == d, g.n
+
+    def test_named_values(self):
+        # one k-cover decision per robber vertex, answered without proving
+        # the minimum cover
+        assert teleport_cop_number(polarity(5)) == 3
+        assert teleport_cop_number(polarity(7)) == 5
+        assert teleport_cop_number(incidence(5)) == 6
 
     def test_cops_win_refuses_teleport(self):
         with pytest.raises(ValueError):
