@@ -828,8 +828,8 @@ class TestTeleport:
             assert teleport_cop_number(g) == d, g.n
 
     def test_named_values(self):
-        # one k-cover decision per robber vertex, answered without proving
-        # the minimum cover
+        # projective-plane graphs, each c_T a few hundred k-cover decisions;
+        # incidence(5)'s 6 agrees with BENCH_teleport.json
         assert teleport_cop_number(polarity(5)) == 3
         assert teleport_cop_number(polarity(7)) == 5
         assert teleport_cop_number(incidence(5)) == 6
