@@ -30,7 +30,7 @@ from collections import Counter
 from .enumeration import connected_graph_classes
 from .errors import CopwinError, Graph6Error, StateBudgetError
 from .families import FAMILIES, generate
-from .graph6 import DEFAULT_MAX_N, emit_graph6, read_graph6_lines
+from .graph6 import DEFAULT_MAX_N, _read_lines, emit_graph6
 from .graphs import diameter, is_bipartite, is_connected
 from .solver import (
     DEFAULT_STATE_BUDGET,
@@ -79,8 +79,10 @@ def _fmt_diameter(d):
 
 
 def _graphs(args, out, found):
-    """The graphs a stream command reads: the --input file, or the
-    connected classes up to --nmax (default 6, in 1..SCAN_MAX_N).  The
+    """The graphs a stream command reads, as (text, Graph) pairs: from the
+    --input file, with text the line's graph6 text, or the connected
+    classes up to --nmax (default 6, in 1..SCAN_MAX_N), with text None.
+    A record names its graph by text or, for None, emit_graph6.  The
     flags are checked and the file is opened here, before the command
     writes anything; --nmax and --input cannot be used together.
 
@@ -98,19 +100,19 @@ def _graphs(args, out, found):
         return _read_input(open(args.input, encoding="utf-8", errors="surrogateescape"),
                            getattr(args, "json", False), out, found)
     nmax = 6 if args.nmax is None else args.nmax
-    return (g for n in range(1, nmax + 1) for g in connected_graph_classes(n))
+    return ((None, g) for n in range(1, nmax + 1) for g in connected_graph_classes(n))
 
 
 def _read_input(fh, as_json, out, found):
-    """Yield the graphs of an open graph6 file, then close it; each bad
-    line becomes a parse_error record."""
+    """Yield the (text, Graph) pairs of an open graph6 file, then close
+    it; each bad line becomes a parse_error record."""
     with fh:
-        for lineno, g in read_graph6_lines(fh):
+        for lineno, text, g in _read_lines(fh):
             if isinstance(g, Graph6Error):
                 _emit(out, {"line": lineno, "status": "parse_error", "error": str(g)}, as_json)
                 found.add(EXIT_USAGE)
             else:
-                yield g
+                yield text, g
 
 
 def _check_at_least(flag, value, least):
@@ -132,8 +134,8 @@ def _exit_code(found):
 def cmd_solve(args, out, found):
     _check_at_least("--budget", args.budget, 1)
     _check_at_least("--max-k", args.max_k, 1)
-    for g in _graphs(args, out, found):
-        rec = {"graph": emit_graph6(g), "n": g.n}
+    for text, g in _graphs(args, out, found):
+        rec = {"graph": text or emit_graph6(g), "n": g.n}
         t0 = time.perf_counter()
         try:
             if not args.allow_disconnected and not is_connected(g):
@@ -156,11 +158,11 @@ def cmd_solve(args, out, found):
         _emit(out, rec, args.json)
 
 
-def _scan_one(check, g, budget):
-    """Return (record-fields, verdict) for one graph, or None for a graph
-    outside the check's hypothesis: theorem 1's for theorem1, diameter
-    <= 2 for the two conjectures.  verdict is one of pass, fail, report,
-    candidate (conjecture counterexample)."""
+def _scan_one(check, text, g, budget):
+    """Return (record-fields, verdict) for one graph, named by text as in
+    _graphs, or None for a graph outside the check's hypothesis: theorem
+    1's for theorem1, diameter <= 2 for the two conjectures.  verdict is
+    one of pass, fail, report, candidate (conjecture counterexample)."""
     n = g.n
     d = diameter(g)
     if check in ("conj_sqrt_n", "conj_teleport") and d > 2:
@@ -169,7 +171,7 @@ def _scan_one(check, g, budget):
     if check == "theorem1" and not theorem1_hypothesis(d, lambda: bipartite):
         return None
     rec = {
-        "graph": emit_graph6(g),
+        "graph": text or emit_graph6(g),
         "n": n,
         "diameter": _fmt_diameter(d),
         "bipartite": str(bipartite).lower(),
@@ -223,11 +225,11 @@ def cmd_scan(args, out, found):
     if not args.json:
         out.write("# " + _kv(header) + "\n")
     verdicts = Counter()
-    for g in graphs:
+    for text, g in graphs:
         try:
-            scanned = _scan_one(check, g, args.budget)
+            scanned = _scan_one(check, text, g, args.budget)
         except StateBudgetError:
-            scanned = {"graph": emit_graph6(g), "n": g.n}, "unresolved"
+            scanned = {"graph": text or emit_graph6(g), "n": g.n}, "unresolved"
         if scanned is None:
             continue
         rec, verdict = scanned
@@ -259,11 +261,11 @@ def cmd_gen(args, out, found):
 def cmd_trap(args, out, found):
     if args.alpha is not None and not 0 <= args.alpha < math.inf:
         raise ValueError("--alpha must be finite and nonnegative, got %r" % args.alpha)
-    for g in _graphs(args, out, found):
+    for text, g in _graphs(args, out, found):
         alpha = args.alpha if args.alpha is not None else float(math.isqrt(g.n))
         thresholds, count = trap_report(g, alpha)
         rec = {
-            "graph": emit_graph6(g),
+            "graph": text or emit_graph6(g),
             "n": g.n,
             "alpha": alpha,
             "thresholds": ",".join(str(t) for t in thresholds),
@@ -282,14 +284,14 @@ def cmd_ineq(args, out, found):
 
 def cmd_simulate(args, out, found):
     _check_at_least("--max-rounds", args.max_rounds, 0)
-    for g in _graphs(args, out, found):
+    for text, g in _graphs(args, out, found):
         try:
             plan = build_theorem1_plan(g)
         except ValueError:
             continue  # the plan exists only under theorem 1's hypothesis
         trace = simulate(g, plan, robber_policy=args.robber,
                          max_rounds=args.max_rounds)
-        out.write("graph %s cops=%d\n" % (emit_graph6(g), plan.total_cops))
+        out.write("graph %s cops=%d\n" % (text or emit_graph6(g), plan.total_cops))
         out.write(format_trace(trace))
 
 

@@ -125,10 +125,20 @@ def read_graph6_lines(lines):
     """Parse an iterable of graph6 lines, skipping blank ones.  Yields
     (line number from 1, Graph) per line, or (line number, Graph6Error)
     for a line that fails parse_graph6 at DEFAULT_MAX_N; raises nothing."""
+    for lineno, _, g in _read_lines(lines):
+        yield lineno, g
+
+
+def _read_lines(lines):
+    """read_graph6_lines with each line's text: (line number, text, Graph)
+    or (line number, None, Graph6Error).  The text is the stripped line
+    without the prefix; the parser accepts only a graph's one encoding
+    (the canonical header, the exact body length, zero padding), so the
+    text is emit_graph6 of the Graph."""
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line:
             try:
-                yield lineno, parse_graph6(line)
+                yield lineno, line.removeprefix(PREFIX), parse_graph6(line)
             except Graph6Error as e:
-                yield lineno, e
+                yield lineno, None, e

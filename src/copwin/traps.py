@@ -2,16 +2,23 @@
 
 A vertex v is an s-trap when floor(s) cops placed on G - {v} control
 every neighbour of v (a cop controls a vertex by sitting on it or next
-to it).  Its threshold is one min_cover query, the package's one cover
-query: the least number of vertices outside a set avoid (here v) whose
-closed neighbourhoods hold a set mask (here N(v)), an exact minimum
-hitting set by the one transversal solver.  Nearly all thresholds of
-small graphs are 1 or 2 (93,338 of the 95,717 over the connected
-classes n <= 8), and the solver answers covers of up to two vertices
-from ANDs of the edges, without search.  Given at_most = k, the query
-is a decision instead: a cover of at most k vertices, or none, with no
-proof of the minimum; the teleport game asks it.  The search beneath
-runs on edge-incidence masks (see _min_transversal_masks).
+to it).  Its threshold is the least number of vertices other than v
+whose closed neighbourhoods hold N(v): an exact minimum hitting set of
+the edges N[u] - {v}, u in N(v), by the one transversal solver.
+trap_threshold, trap_report and check_lemma4 read the thresholds of a
+graph from one walk (_thresholds), and check_lemma4 stops at the first
+trap.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of the
+95,717 over the connected classes n <= 8), and one exit rule
+(_cover_by_two) answers covers of up to two vertices from ANDs of the
+edges, without search; the walk asks it first, and only the rest enter
+the search.
+
+min_cover is the solver's one cover query: the least number of
+vertices outside a set avoid whose closed neighbourhoods hold a set
+mask, by the same solver.  Given at_most = k, the query is a decision
+instead: a cover of at most k vertices, or none, with no proof of the
+minimum; the teleport game asks it.  The search beneath runs on
+edge-incidence masks (see _min_transversal_masks).
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -60,6 +67,48 @@ def min_transversal(h):
     return size, frozenset(witness)
 
 
+def _check_caps(n, m):
+    if n > TRANSVERSAL_MAX_N or m > TRANSVERSAL_MAX_EDGES:
+        raise ValueError(
+            "transversal solver capped at n <= %d, m <= %d"
+            % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
+        )
+
+
+def _cover_by_two(edge_masks, at_most):
+    """The exit rule: the least cover of nonempty edge bitmasks when it
+    has at most two vertices, as (size, witness list), on the edges as
+    given; for a decision at_most <= 1 with no one-vertex cover,
+    (math.inf, None); otherwise None, and the answer needs the search.
+
+    No edges: size 0.  One vertex: when the AND of all edges is nonzero,
+    its least vertex.  Two vertices: every cover hits the first edge, so
+    walk its vertices x in label order and AND the edges x misses; at the
+    first x where that AND is nonzero, the answer is x and the least
+    vertex of the AND.
+    """
+    if not edge_masks:
+        return 0, []
+    shared = -1
+    for e in edge_masks:
+        shared &= e
+    if shared and at_most:
+        return 1, [(shared & -shared).bit_length() - 1]
+    if at_most < 2:
+        return math.inf, None
+    # no vertex hits every edge, so each x leaves some edge, and rest is
+    # the AND of one or more edges
+    for x in bits(edge_masks[0]):
+        low = 1 << x
+        rest = -1
+        for e in edge_masks:
+            if not e & low:
+                rest &= e
+        if rest:
+            return 2, [x, (rest & -rest).bit_length() - 1]
+    return None
+
+
 def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None):
     """Exact minimum hitting set of nonempty edge bitmasks over vertices
     0..n-1: (size, witness list).
@@ -92,42 +141,17 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None)
     vertices, the first it finds is the answer, and (math.inf, None)
     says there is none.
 
-    One exit rule answers covers of up to two vertices without search,
-    on the edges as given.  No edges: size 0.  One vertex: when the AND
-    of all edges is nonzero, its least vertex.  Two vertices: every
-    cover hits the first edge, so walk its vertices x in label order and
-    AND the edges x misses; at the first x where that AND is nonzero,
-    the answer is x and the least vertex of the AND.  Covers of three or
-    more vertices need the search; a decision for k <= 1 needs neither.
+    Covers of up to two vertices, and a decision for k <= 1, are
+    answered by _cover_by_two without search.
     """
-    if n > TRANSVERSAL_MAX_N or len(edge_masks) > TRANSVERSAL_MAX_EDGES:
-        raise ValueError(
-            "transversal solver capped at n <= %d, m <= %d"
-            % (TRANSVERSAL_MAX_N, TRANSVERSAL_MAX_EDGES)
-        )
-    if not edge_masks:
-        return 0, []
+    _check_caps(n, len(edge_masks))
     if at_most is None:
         at_most = len(edge_masks)  # one vertex per edge
     else:
         floor = at_most  # every cover the search finds is small enough
-    shared = -1
-    for e in edge_masks:
-        shared &= e
-    if shared and at_most:
-        return 1, [(shared & -shared).bit_length() - 1]
-    if at_most < 2:
-        return math.inf, None
-    # no vertex hits every edge, so each x leaves some edge, and rest is
-    # the AND of one or more edges
-    for x in bits(edge_masks[0]):
-        low = 1 << x
-        rest = -1
-        for e in edge_masks:
-            if not e & low:
-                rest &= e
-        if rest:
-            return 2, [x, (rest & -rest).bit_length() - 1]
+    found = _cover_by_two(edge_masks, at_most)
+    if found is not None:
+        return found
     # dedup and drop supersets: an edge containing another is hit whenever
     # the smaller one is.
     edge_masks = sorted(set(edge_masks), key=int.bit_count)
@@ -204,11 +228,29 @@ def min_cover(g, mask, avoid=0, floor=0, max_nodes=None, at_most=None):
     lies inside avoid."""
     adj, keep = g.adj, ~avoid
     edges = []
-    for u in bits(mask):  # on Python 3.11 a comprehension costs trap_threshold ~15%
+    for u in bits(mask):  # on Python 3.11 a comprehension is slower
         edges.append((adj[u] | 1 << u) & keep)
     if 0 in edges:
         return math.inf, None
     return _min_transversal_masks(g.n, edges, floor, max_nodes, at_most)
+
+
+def _thresholds(g, vertices):
+    """Yield the threshold of each vertex in vertices, in order: one walk
+    over the graph, with the caps checked before the first vertex.
+    Vertex v's edges are N[u] - {v} for u in N(v), none empty as each
+    holds u.  The exit rule answers thresholds of up to two, and only the
+    rest (2,378 of the 95,717 over the connected classes n <= 8) enter
+    the search, which tries the exit again at about 1% of the walk's
+    time."""
+    n, adj = g.n, g.adj
+    _check_caps(n, n - 1)  # v has at most n - 1 neighbours, one edge each
+    for v in vertices:
+        keep = ~(1 << v)
+        edges = []
+        for u in bits(adj[v]):  # on Python 3.11 a comprehension is slower
+            edges.append((adj[u] | 1 << u) & keep)
+        yield (_cover_by_two(edges, len(edges)) or _min_transversal_masks(n, edges))[0]
 
 
 def trap_threshold(g, v):
@@ -217,7 +259,7 @@ def trap_threshold(g, v):
     v (each N[u] holds u, so the cover is finite)."""
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
-    return min_cover(g, g.adj[v], 1 << v)[0]
+    return next(_thresholds(g, (v,)))
 
 
 def check_lemma5(n, thresholds):
@@ -252,7 +294,7 @@ def check_lemma5(n, thresholds):
 def check_lemma4(g):
     """True iff some vertex is a floor(sqrt(n))-trap."""
     s = math.isqrt(g.n)
-    return any(trap_threshold(g, v) <= s for v in range(g.n))
+    return any(t <= s for t in _thresholds(g, range(g.n)))
 
 
 def trap_report(g, alpha=None):
@@ -262,7 +304,7 @@ def trap_report(g, alpha=None):
         alpha = math.isqrt(g.n)
     elif not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative, got %r" % alpha)
-    thresholds = [trap_threshold(g, v) for v in range(g.n)]
+    thresholds = list(_thresholds(g, range(g.n)))
     floor_alpha = math.floor(alpha)
     count = sum(1 for t in thresholds if t <= floor_alpha)
     return thresholds, count

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,9 +21,9 @@ from copwin.cli import (
     EXIT_VIOLATION,
     main,
 )
-from copwin.enumeration import graph_classes
+from copwin.enumeration import connected_graph_classes, graph_classes
 from copwin.families import cycle, petersen
-from copwin.graph6 import emit_graph6, parse_graph6
+from copwin.graph6 import PREFIX, emit_graph6, parse_graph6
 from copwin.graphs import Graph, is_connected
 
 
@@ -201,6 +202,39 @@ def test_bad_input_line_reported_and_exits_usage(bad_file, argv):
     assert lines[0].startswith("line=1 status=parse_error error=")
     assert "C~" in lines[1]  # the stream goes on
     assert code == EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def plain_and_dressed_le6(tmp_path_factory):
+    """The connected classes on at most 6 vertices written twice under one
+    file name: plain, and with random >>graph6<< prefixes, spaces and tabs
+    around each line and CRLF endings."""
+    rng = random.Random(6)
+    lines = [emit_graph6(g) for n in range(1, 7) for g in connected_graph_classes(n)]
+    plain = tmp_path_factory.mktemp("plain") / "classes6.g6"
+    plain.write_text("".join(line + "\n" for line in lines))
+    dressed = tmp_path_factory.mktemp("dressed") / "classes6.g6"
+    dressed.write_bytes("".join(
+        rng.choice(["", " ", "\t", " \t "]) + rng.choice(["", PREFIX]) + line
+        + rng.choice(["", " ", "\t"]) + "\r\n"
+        for line in lines
+    ).encode())
+    return str(plain), str(dressed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trap"],
+    ["scan", "--check", "lemma4", "--all"],
+    ["scan", "--check", "lemma5", "--all"],
+    ["solve", "--variant", "teleport"],
+    ["simulate"],
+])
+def test_dressed_input_lines_report_as_plain(plain_and_dressed_le6, argv):
+    # a record names its graph by the line's graph6 text: what surrounds
+    # that text on the line leaves no trace in the report
+    plain, dressed = (run(argv + ["--input", p]) for p in plain_and_dressed_le6)
+    assert plain[0] == EXIT_OK
+    assert dressed == plain
 
 
 @pytest.mark.parametrize("argv", [

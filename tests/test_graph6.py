@@ -1,11 +1,11 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from copwin.errors import Graph6Error
 from copwin.families import complete, cycle, petersen
-from copwin.graph6 import emit_graph6, parse_graph6, read_graph6_lines
+from copwin.graph6 import PREFIX, emit_graph6, parse_graph6, read_graph6_lines
 from copwin.graphs import Graph
 
 
@@ -137,3 +137,46 @@ def test_read_lines_yields_errors_in_place():
     assert [lineno for lineno, _ in read] == [1, 3]
     assert isinstance(read[0][1], Graph6Error)
     assert read[1][1].n == 2
+
+
+ALPHABET = "".join(chr(c) for c in range(63, 127))
+
+
+@st.composite
+def graph6_like_lines(draw):
+    """(line, canonical): a string over the graph6 alphabet, maybe with the
+    prefix, and whether it is a canonical encoding.  Besides free strings,
+    a header for n in 1..64 (n = 62, 63, 64 often) in one byte or four,
+    and a body of the exact length or one byte short or long, its
+    padding bits random or zero; canonical is None for a free string."""
+    prefix = draw(st.sampled_from(["", PREFIX]))
+    if draw(st.booleans()):
+        return prefix + draw(st.text(ALPHABET, min_size=1, max_size=16)), None
+    n = draw(st.one_of(st.sampled_from([62, 63, 64]), st.integers(1, 64)))
+    four = n > 62 or draw(st.booleans())
+    head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)) if four else chr(63 + n)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    length = max(0, need + draw(st.sampled_from([-1, 0, 0, 1])))
+    body = draw(st.text(ALPHABET, min_size=length, max_size=length))
+    pad = 6 * need - nbits  # the low bits of the last group of an exact body
+    if length == need and need and draw(st.booleans()):
+        body = body[:-1] + chr(63 + ((ord(body[-1]) - 63) >> pad << pad))
+    padding_clear = length == need and (not need or (ord(body[-1]) - 63) % (1 << pad) == 0)
+    return prefix + head + body, four == (n > 62) and padding_clear
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph6_like_lines())
+def test_every_accepted_line_re_emits_to_itself(drawn):
+    # the parser is bit-exact: one header form per n, the exact body
+    # length and zero padding, so the text of a line it accepts, prefix
+    # dropped, is the graph's one encoding
+    line, canonical = drawn
+    try:
+        g = parse_graph6(line)
+    except Graph6Error:
+        assert not canonical
+        return
+    assert canonical is not False
+    assert emit_graph6(g) == line.removeprefix(PREFIX)

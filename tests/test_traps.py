@@ -25,6 +25,7 @@ from copwin.traps import (
     check_lemma4,
     check_lemma5,
     chvatal_bound,
+    min_cover,
     min_transversal,
     trap_report,
     trap_threshold,
@@ -254,6 +255,25 @@ class TestTrapThreshold:
         g = Graph(TRANSVERSAL_MAX_N + 1, [(0, 1)])
         with pytest.raises(ValueError):
             trap_threshold(g, 2)
+
+    def test_walk_matches_one_cover_query_per_vertex(self):
+        # the one walk behind trap_threshold, trap_report and check_lemma4
+        # against min_cover on each vertex, as the thresholds were computed
+        graphs = [g for n in range(1, 8) for g in connected_graph_classes(n)]
+        graphs += [petersen(), incidence(2), hoffman_singleton(), polarity(5)]
+        for g in graphs:
+            want = [min_cover(g, g.adj[v], 1 << v)[0] for v in range(g.n)]
+            assert trap_report(g)[0] == want
+            assert [trap_threshold(g, v) for v in range(g.n)] == want
+            assert check_lemma4(g) == any(t <= math.isqrt(g.n) for t in want)
+
+    @pytest.mark.parametrize("ask", [
+        lambda g: trap_threshold(g, 2), trap_report, check_lemma4,
+    ], ids=["trap_threshold", "trap_report", "check_lemma4"])
+    def test_cap_message(self, ask):
+        g = Graph(TRANSVERSAL_MAX_N + 1, [(0, 1)])
+        with pytest.raises(ValueError, match=r"^transversal solver capped at n <= 64, m <= 64$"):
+            ask(g)
 
 
 class TestTrapPredicates:
