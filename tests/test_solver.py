@@ -254,6 +254,39 @@ class TestBounds:
             assert c <= cover, (g, verts)
             assert restricted_cop_number(g, arena) == c
 
+    def test_solve_schedule_pinned(self, monkeypatch):
+        # the k each search solves, on every connected class n <= 7: the
+        # k = 1 cross-check in the core game, then each k from LB up to
+        # min(c, gamma - 1), gamma the least cover of the robber's arena
+        # (of the core, in the core game); k = gamma is never solved
+        log = []
+
+        def logged(decide):
+            def call(g, cfg, *args):
+                log.append(cfg.k)
+                return decide(g, cfg, *args)
+
+            return call
+
+        monkeypatch.setattr(solver, "wins", logged(solver.wins))
+        monkeypatch.setattr(solver, "_teleport_wins", logged(solver._teleport_wins))
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                h = induced_subgraph(g, bits(core(g)))
+                delta = min(h.degrees())
+                core_lb = 1 if h.n == 1 else delta if delta >= 3 and girth(h) >= 5 else 2
+                verts = rng.sample(range(n), rng.randint(1, n))
+                games = [
+                    (lambda: cop_number(g), [1], core_lb, _brute_cover(h, range(h.n))),
+                    (lambda: teleport_cop_number(g), [], 1, _brute_cover(g, range(n))),
+                    (lambda: restricted_cop_number(g, verts), [], 1, _brute_cover(g, verts)),
+                ]
+                for search, check, lb, gamma in games:
+                    log.clear()
+                    c = search()
+                    assert log == check + list(range(lb, min(c, gamma - 1) + 1)), (g, verts, log)
+
 
 class TestGameSemantics:
     def test_one_cop_loses_on_c4(self):
