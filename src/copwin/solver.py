@@ -102,23 +102,21 @@ are about.  Every game reads and checks its arena in one place,
 _robber_moves, whose arena mask and robber moves the other readers take.
 
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
-search, _least_winning_k, which solves only the k in [LB, UB), each by
-wins (or _teleport_wins), so no solve runs past its deciding round:
+search, _least_winning_k, from a lower bound LB up.  Each k is first
+asked whether k closed neighbourhoods cover the robber's arena (cops
+placed there catch him on their first move); only when none does is k
+solved, by wins (or _teleport_wins), so no solve runs past its deciding
+round:
 
-* In the standard full-arena game with a passing robber, LB, UB and
-  the solves for k >= 2 are on the corner-free core (graphs.core), as
-  c(G) = c(core).  A one-vertex core (G dismantlable) gives LB = UB = 1
-  (Nowakowski and Winkler, 1983).  Otherwise LB is 2, raised to the
-  core's minimum degree when its girth is at least 5 (Aigner and
-  Fromme, 1984); a degree of 2 raises nothing, so the girth is taken
-  only from 3 up.  The k=1 cross-check still solves on G.
+* In the standard full-arena game with a passing robber, LB, the cover
+  and the solves for k >= 2 are on the corner-free core (graphs.core),
+  as c(G) = c(core).  A one-vertex core (G dismantlable) gives 1
+  (Nowakowski and Winkler, 1983) with no cover asked.  Otherwise LB is
+  2, raised to the core's minimum degree when its girth is at least 5
+  (Aigner and Fromme, 1984); a degree of 2 raises nothing, so the girth
+  is taken only from 3 up.  The k=1 cross-check still solves on G.
 * Every other game (teleport, a restricted arena, a no-pass robber) is
   on G with LB = 1: the corner argument does not hold there.
-* UB is the least number of vertices whose closed neighbourhoods cover
-  the robber's arena (the domination number for the full arena): cops
-  placed there catch the robber on their first move.  The cover search,
-  traps.min_cover, stops at a cover of LB vertices; after COVER_MAX_NODES
-  branch-and-bound nodes it gives up, and the search runs with no UB.
 """
 
 from __future__ import annotations
@@ -135,7 +133,6 @@ from .traps import min_cover
 
 DEFAULT_STATE_BUDGET = 50_000_000
 DISMANTLABLE_CROSS_CHECK_MAX_N = 32
-COVER_MAX_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -607,42 +604,38 @@ def cop_number(g, budget=DEFAULT_STATE_BUDGET, max_k=None):
     return _least_winning_k(g, GameConfig(), budget, max_k)
 
 
-def _bounds(g, template):
-    """(LB, UB, core) for the least winning k in the game template on
-    g, by the rules in the module docstring.  core is the induced
-    subgraph on graphs.core(g), on which LB and UB are taken, in the one
-    game that has it, and None in every other.  UB is None when the
-    cover search gives up or exceeds the transversal solver's caps."""
-    lb, h = 1, None
+def _lower_bound(g, template):
+    """(LB, core) for the least winning k in the game template on g, by
+    the rules in the module docstring.  core is the induced subgraph on
+    graphs.core(g), on which LB is taken, in the one game that has it,
+    and None in every other."""
     arena = template.robber_arena
-    if template.variant == "standard" and arena is None and template.robber_may_pass:
-        keep = core(g)
-        h = g if keep == (1 << g.n) - 1 else induced_subgraph(g, bits(keep))
-        if h.n == 1:
-            return 1, 1, h
-        delta = min(h.degrees())  # at least 2: a leaf is a corner
-        lb = delta if delta >= 3 and girth(h) >= 5 else 2
-        g = h  # UB is the core's too
-    amask = _robber_moves(g, template)[0]  # a given arena is checked here
-    try:
-        found = min_cover(g, amask, 0, lb, COVER_MAX_NODES)
-    except ValueError:  # above the transversal solver's caps
-        found = None
-    return lb, found[0] if found else None, h
+    if template.variant != "standard" or arena is not None or not template.robber_may_pass:
+        return 1, None
+    keep = core(g)
+    h = g if keep == (1 << g.n) - 1 else induced_subgraph(g, bits(keep))
+    if h.n == 1:
+        return 1, h
+    delta = min(h.degrees())  # at least 2: a leaf is a corner
+    return (delta if delta >= 3 and girth(h) >= 5 else 2), h
 
 
 def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
     """The one cop-count search: least k for which k cops win the game
     template (its k is ignored) on g, any graph; the standard full-arena
-    search is reached per component.  Only k in [LB, UB) is solved, on
-    the core if any; without an UB the search runs up to max_k, or n.
+    search is reached per component.  Each k from LB up to max_k, or n,
+    is first asked whether k closed neighbourhoods cover the arena, on
+    the core if any: if so the answer is k, else k is solved (above the
+    transversal solver's caps, always).  The decision at k (min_cover's
+    at_most=k) branches over the at most s <= Delta + 1 vertices of one
+    edge to depth k, so it visits at most sum_{d=0..k} s^d nodes, about
+    s^k: no more than the n^k fields the solve at k would build.
+
     On at most DISMANTLABLE_CROSS_CHECK_MAX_N vertices, a game with a
     core also solves k=1 on g, which must win exactly when the core is
     K_1.  A StateBudgetError carries LB, or the k out of budget if
     larger."""
-    lb, ub, h = _bounds(g, template)
-    if ub is not None and ub < lb:
-        raise CopwinError("cover bound %d below lower bound %d" % (ub, lb))
+    lb, h = _lower_bound(g, template)
     top = max_k if max_k is not None else g.n
 
     def decide(k, on):
@@ -659,12 +652,16 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
         h = g  # a game without a core
     elif g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N and decide(1, g) != (h.n == 1):
         raise CopwinError("solver/dismantlability mismatch on %d-vertex graph" % g.n)
-    stop = top + 1 if ub is None else min(ub, top + 1)
-    for k in range(lb, stop):
-        if decide(k, h):
+    amask = _robber_moves(h, template)[0]  # a given arena is checked here
+    for k in range(lb, top + 1):
+        try:  # a dismantlable G's one-vertex core needs no query
+            size = 1 if h.n == 1 else min_cover(h, amask, at_most=k)[0]
+        except ValueError:  # above the transversal solver's caps
+            size = math.inf
+        if size < lb:
+            raise CopwinError("cover bound %d below lower bound %d" % (size, lb))
+        if size <= k or decide(k, h):
             return k
-    if ub is not None and ub <= top:
-        return ub
     raise CopwinError("no winning cop count found up to k=%d" % top)
 
 
@@ -716,8 +713,8 @@ def teleport_cop_number(g):
     transversal solver's caps (see traps.min_cover) it raises ValueError.
 
     Teleporting cops jump between components, so for a disconnected
-    graph c_T is searched on the whole graph: its bounds (LB 1, UB the
-    domination number) hold there too."""
+    graph c_T is searched on the whole graph: LB 1 and the domination
+    number bound it there too."""
     return _least_winning_k(g, GameConfig(variant="teleport"))
 
 

@@ -13,12 +13,12 @@ trap.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of the
 edges, without search; the walk asks it first, and only the rest enter
 the search.
 
-min_cover is the solver's one cover query: the least number of
-vertices outside a set avoid whose closed neighbourhoods hold a set
-mask, by the same solver.  Given at_most = k, the query is a decision
-instead: a cover of at most k vertices, or none, with no proof of the
-minimum; the teleport game asks it.  The search beneath runs on
-edge-incidence masks (see _min_transversal_masks).
+The search has two modes: exact, the least cover (the thresholds,
+min_transversal); and, given at_most = k, a decision, a cover of at most
+k vertices or none, with no proof of the minimum, which the solver asks
+through min_cover, the vertices outside a set avoid whose closed
+neighbourhoods hold a set mask.  It runs on edge-incidence masks (see
+_min_transversal_masks).
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
@@ -78,7 +78,7 @@ def _check_caps(n, m):
 def _cover_by_two(edge_masks, at_most):
     """The exit rule: the least cover of nonempty edge bitmasks when it
     has at most two vertices, as (size, witness list), on the edges as
-    given; for a decision at_most <= 1 with no one-vertex cover,
+    given; for a decision at_most <= 2 with no cover that small,
     (math.inf, None); otherwise None, and the answer needs the search.
 
     No edges: size 0.  One vertex: when the AND of all edges is nonzero,
@@ -106,12 +106,12 @@ def _cover_by_two(edge_masks, at_most):
                 rest &= e
         if rest:
             return 2, [x, (rest & -rest).bit_length() - 1]
-    return None
+    return None if at_most > 2 else (math.inf, None)
 
 
-def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None):
+def _min_transversal_masks(n, edge_masks, max_nodes=None, at_most=None):
     """Exact minimum hitting set of nonempty edge bitmasks over vertices
-    0..n-1: (size, witness list).
+    0..n-1, or, given at_most = k, one of at most k: (size, witness list).
 
     Branch and bound on the max-degree vertex of a smallest uncovered
     edge.  A node is pruned by the larger of two lower bounds: a greedy
@@ -130,25 +130,20 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None)
     the lowest remaining edge and clears every edge that meets it with
     one precomputed mask, until no edge is left.
 
-    floor is a lower bound on the answer known to the caller: the first
-    cover of at most floor vertices ends the search.  For an exact
-    minimum it must not exceed the true minimum, as the solver's cover
-    bound guarantees (LB <= c <= gamma); above it, the search may stop
-    at a larger cover, but of at most floor vertices when one exists.
-    With max_nodes, the search gives up and returns None after that
-    many inner nodes.  at_most = k asks the decision instead: the bound
-    starts at k + 1, so the search looks only for covers of at most k
-    vertices, the first it finds is the answer, and (math.inf, None)
-    says there is none.
+    at_most = k asks the decision: the bound starts at k + 1, so the
+    search looks only for covers of at most k vertices, the first it
+    finds is the answer, and (math.inf, None) says there is none; to
+    depth k, it visits at most sum_{d=0..k} s^d inner nodes, s the
+    largest edge.  With max_nodes, the search gives up and returns None
+    after that many inner nodes.
 
-    Covers of up to two vertices, and a decision for k <= 1, are
+    Covers of up to two vertices, and a decision for k <= 2, are
     answered by _cover_by_two without search.
     """
     _check_caps(n, len(edge_masks))
-    if at_most is None:
+    decision = at_most is not None
+    if not decision:
         at_most = len(edge_masks)  # one vertex per edge
-    else:
-        floor = at_most  # every cover the search finds is small enough
     found = _cover_by_two(edge_masks, at_most)
     if found is not None:
         return found
@@ -184,7 +179,7 @@ def _min_transversal_masks(n, edge_masks, floor=0, max_nodes=None, at_most=None)
         if not rem:
             if len(chosen) < best:
                 best, witness = len(chosen), list(chosen)
-                if best <= floor:
+                if decision:
                     break
             continue
         left -= 1  # one inner node
@@ -219,20 +214,20 @@ def chvatal_bound(h):
     return Fraction((k // 2) * m + h.n, (3 * k) // 2)
 
 
-def min_cover(g, mask, avoid=0, floor=0, max_nodes=None, at_most=None):
+def min_cover(g, mask, avoid=0, max_nodes=None, at_most=None):
     """The least number of vertices outside avoid whose closed
     neighbourhoods hold every vertex of mask, as the transversal
     search's (size, witness) on the edges N[u] - avoid, u in mask in
-    ascending order; floor, max_nodes and the decision at_most as there.
-    None when the search gives up, and (math.inf, None) when some N[u]
-    lies inside avoid."""
+    ascending order; given at_most = k, the decision whether at most k
+    of them do, and max_nodes, as there.  None when the search gives
+    up, and (math.inf, None) when some N[u] lies inside avoid."""
     adj, keep = g.adj, ~avoid
     edges = []
     for u in bits(mask):  # on Python 3.11 a comprehension is slower
         edges.append((adj[u] | 1 << u) & keep)
     if 0 in edges:
         return math.inf, None
-    return _min_transversal_masks(g.n, edges, floor, max_nodes, at_most)
+    return _min_transversal_masks(g.n, edges, max_nodes, at_most)
 
 
 def _thresholds(g, vertices):

@@ -25,7 +25,7 @@ from copwin.solver import (
     Arena,
     GameConfig,
     _Board,
-    _bounds,
+    _lower_bound,
     _step_tables,
     _supersets,
     _teleport_wins,
@@ -85,12 +85,6 @@ class TestCopNumber:
         # no solve runs; a solve at k = 7 would need ~2e10 states
         assert cop_number(hoffman_singleton_graph, budget=2_000_000) == 7
 
-    def test_cover_cap_falls_back_to_solving(self, petersen_graph, monkeypatch):
-        monkeypatch.setattr(solver, "COVER_MAX_NODES", 1)
-        assert _bounds(petersen_graph, GameConfig())[1] is None
-        assert cop_number(petersen_graph) == 3
-        assert teleport_cop_number(petersen_graph) == 3
-
     def test_dismantlable_settled_by_bounds(self, monkeypatch):
         # c = 1 for a dismantlable graph: no cover search runs, and on
         # more than DISMANTLABLE_CROSS_CHECK_MAX_N vertices no solve either
@@ -98,8 +92,8 @@ class TestCopNumber:
             raise AssertionError("cover search ran")
 
         monkeypatch.setattr(solver, "min_cover", refuse)
-        lb, ub, h = _bounds(path(6), GameConfig())
-        assert (lb, ub, h.n) == (1, 1, 1)
+        lb, h = _lower_bound(path(6), GameConfig())
+        assert (lb, h.n) == (1, 1)
         assert cop_number(path(6)) == 1
         assert cop_number(complete(40), budget=10) == 1
 
@@ -130,16 +124,17 @@ class TestCopNumber:
 
     def test_cover_bound_below_lower_bound_raises(self, petersen_graph, monkeypatch):
         # Petersen has girth 5 and degree 3, so LB = 3; one closed
-        # neighbourhood cannot cover it
-        monkeypatch.setattr(solver, "min_cover", lambda *args: (1, [0]))
+        # neighbourhood cannot cover it; the decision at k = LB says one does
+        monkeypatch.setattr(solver, "min_cover", lambda *args, **kwargs: (1, [0]))
         with pytest.raises(CopwinError, match="cover bound 1 below lower bound 3"):
             cop_number(petersen_graph)
 
     def test_above_the_transversal_caps(self):
-        # 65 vertices: the cover search refuses, so the search runs with
-        # no UB; teleport's fixpoint needs the cover search and refuses
+        # 65 vertices: the cover decision refuses, so every k is solved;
+        # teleport's fixpoint needs the cover search and refuses
         g = cycle(65)
-        assert _bounds(g, GameConfig())[1] is None
+        with pytest.raises(ValueError, match="transversal solver capped"):
+            min_cover(g, (1 << 65) - 1, at_most=22)
         assert cop_number(g) == 2
         assert restricted_cop_number(g, range(10)) == 1
         with pytest.raises(ValueError, match="transversal solver capped"):
@@ -231,16 +226,22 @@ class TestMinCover:
 
 class TestBounds:
     def test_bounds_bracket_cop_number(self):
+        # LB <= c <= gamma, the core's domination number, and the cover
+        # decision at k = gamma finds a cover
         for n in range(1, 9):
             for g in connected_graph_classes(n):
-                lb, ub, _ = _bounds(g, GameConfig())
-                assert lb <= _least_winning_k(g) <= ub, g
+                lb, h = _lower_bound(g, GameConfig())
+                full = (1 << h.n) - 1
+                gamma = min_cover(h, full)[0]
+                assert lb <= _least_winning_k(g) <= gamma, g
+                assert min_cover(h, full, at_most=gamma)[0] == gamma, g
 
     def test_teleport_bounded_by_domination(self):
         for n in range(1, 8):
             for g in connected_graph_classes(n):
                 gamma = _brute_cover(g, range(n))
-                assert _bounds(g, GameConfig(variant="teleport"))[:2] == (1, gamma)
+                assert _lower_bound(g, GameConfig(variant="teleport")) == (1, None)
+                assert min_cover(g, (1 << n) - 1, at_most=gamma)[0] == gamma, g
                 assert 1 <= _least_winning_k(g, variant="teleport") <= gamma, g
 
     def test_restricted_bounded_by_arena_cover(self):
@@ -249,7 +250,8 @@ class TestBounds:
             verts = rng.sample(range(7), rng.randint(1, 7))
             arena = Arena.induced(g, verts)
             cover = _brute_cover(g, verts)
-            assert _bounds(g, GameConfig(robber_arena=arena))[:2] == (1, cover)
+            assert _lower_bound(g, GameConfig(robber_arena=arena)) == (1, None)
+            assert min_cover(g, arena.validate_against(g), at_most=cover)[0] == cover
             c = _least_winning_k(g, robber_arena=arena)
             assert c <= cover, (g, verts)
             assert restricted_cop_number(g, arena) == c

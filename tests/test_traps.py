@@ -135,14 +135,60 @@ class TestMinTransversal:
         with pytest.raises(ValueError):
             min_transversal(Hypergraph(65, [{0}]))
 
-    def test_floor_stops_at_first_cover_that_small(self):
+    def test_decision_stops_at_first_cover_that_small(self):
         # the closed neighbourhoods of the Petersen graph: domination
-        # number 3, so a floor of 3 ends the search at the first such cover
+        # number 3, so the decision for 3 ends the search at the first
+        # 3-cover, after 3 nodes; the exact search goes on to 12, to
+        # prove that no 2-cover exists
         g = petersen()
         edges = [g.closed_mask(v) for v in range(g.n)]
-        size, witness = _min_transversal_masks(g.n, edges, floor=3)
+        assert _min_transversal_masks(g.n, edges, max_nodes=2, at_most=3) is None
+        size, witness = _min_transversal_masks(g.n, edges, max_nodes=3, at_most=3)
         assert size == 3 == _min_transversal_masks(g.n, edges)[0]
         assert all(e & sum(1 << v for v in witness) for e in edges)
+        assert _min_transversal_masks(g.n, edges, max_nodes=11) is None
+
+    def test_two_vertex_decision_needs_no_nodes(self):
+        # the exit rule answers the decision for 2 on the closed
+        # neighbourhoods of every connected class n <= 7: a cover of at
+        # most two vertices just when the minimum is at most 2
+        for n in range(1, 8):
+            for g in connected_graph_classes(n):
+                edges = [g.closed_mask(v) for v in range(n)]
+                size = _min_transversal_masks(n, edges)[0]
+                found = _min_transversal_masks(n, edges, max_nodes=0, at_most=2)
+                assert found is not None, g
+                assert (found[0] <= 2) == (size <= 2), g
+                if size <= 2:
+                    assert found[0] == size and all(e & sum(1 << v for v in found[1]) for e in edges)
+                else:
+                    assert found == (math.inf, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_decision_within_its_work_bound(self, seed):
+        # the decision for k has depth at most k and branches over the
+        # vertices of one edge, at most s of them (s the largest edge): it
+        # answers within sum_{d=0..k} s^d nodes, and finds a cover just
+        # when the exact minimum is at most k
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        mask = rng.getrandbits(n)
+        avoid = rng.getrandbits(n) & rng.getrandbits(n)
+        s = max((((g.adj[u] | 1 << u) & ~avoid).bit_count() for u in range(n) if mask >> u & 1), default=0)
+        size = min_cover(g, mask, avoid)[0]
+        for k in range(1, 5):
+            found = min_cover(g, mask, avoid, max_nodes=sum(s**d for d in range(k + 1)), at_most=k)
+            assert found is not None, (seed, k)
+            assert (found[0] <= k) == (size <= k), (seed, k)
+            if size <= k:
+                covered = 0
+                for w in found[1]:
+                    assert not avoid >> w & 1
+                    covered |= g.closed_mask(w)
+                assert len(found[1]) == found[0] and covered & mask == mask
 
     def test_node_cap_gives_up(self):
         g = petersen()
@@ -151,18 +197,19 @@ class TestMinTransversal:
         assert _min_transversal_masks(g.n, edges, max_nodes=10**6)[0] == 3
 
     @pytest.mark.parametrize(
-        "name, floor, nodes, witness",
+        "name, at_most, nodes, witness",
         [
             ("petersen", 0, 12, [0, 1, 4]),
             ("heawood", 0, 16, [5, 11, 2, 8]),
-            ("polarity5", 2, 30, [11, 12, 30, 13, 14]),
+            ("polarity5", 0, 30, [11, 12, 30, 13, 14]),
             ("hoffman_singleton", 7, 7, [7, 10, 36, 37, 18, 21, 4]),
             ("polarity7", 0, 56, [2, 12, 25, 48, 15, 52, 28]),
         ],
     )
-    def test_search_tree_pinned(self, name, floor, nodes, witness):
-        # the search on closed neighbourhoods: the least node cap at which
-        # it answers, and the witness it answers with, pin its tree
+    def test_search_tree_pinned(self, name, at_most, nodes, witness):
+        # the search on closed neighbourhoods, exact (at_most 0 here) or
+        # the decision: the least node cap at which it answers, and the
+        # witness it answers with, pin its tree
         g = {
             "petersen": petersen,
             "heawood": lambda: incidence(2),
@@ -171,10 +218,11 @@ class TestMinTransversal:
             "polarity7": lambda: polarity(7),
         }[name]()
         edges = [g.closed_mask(v) for v in range(g.n)]
-        assert _min_transversal_masks(g.n, edges, floor, nodes - 1) is None
-        found = _min_transversal_masks(g.n, edges, floor, nodes)
+        at_most = at_most or None
+        assert _min_transversal_masks(g.n, edges, nodes - 1, at_most) is None
+        found = _min_transversal_masks(g.n, edges, nodes, at_most)
         assert found == (len(witness), witness)
-        assert _min_transversal_masks(g.n, edges, floor) == found
+        assert _min_transversal_masks(g.n, edges, at_most=at_most) == found
 
 
 class TestChvatalBound:
