@@ -13,12 +13,12 @@ trap.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of the
 edges, without search; the walk asks it first, and only the rest enter
 the search.
 
-The search has two modes: exact, the least cover (the thresholds,
-min_transversal); and, given at_most = k, a decision, a cover of at most
-k vertices or none, with no proof of the minimum, which the solver asks
-through min_cover, the vertices outside a set avoid whose closed
-neighbourhoods hold a set mask.  It runs on edge-incidence masks (see
-_min_transversal_masks).
+The search has two modes.  Exact: the least cover, which the thresholds
+and min_transversal ask.  Decision, given at_most = k: a cover of at
+most k vertices or none, with no proof of the minimum, which the solver
+asks through min_cover (covers of a vertex set mask by the closed
+neighbourhoods of vertices outside a set avoid).  It runs on
+edge-incidence masks (see _min_transversal_masks).
 
 The Chvatal-McDiarmid transversal bound for k-uniform hypergraphs,
 tau <= (floor(k/2)*m + n) / floor(3k/2), is exposed as a checked
