@@ -399,3 +399,49 @@ class TestOrbitPruning:
         tried = sum(1 for base in bases for _ in _children(base))
         admissible = sum(len(_admissible(base)) for base in bases)
         assert (tried, admissible) == CHILDREN_TOTALS[n]
+
+
+def _search_digest(searches):
+    """sha256 of the (input masks, order, generators) of each search, in
+    call order: one line each."""
+    text = "".join("%r %r %r\n" % (adj, order, gens) for adj, order, gens in searches)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (searches, sha256) of every canonical search graph_classes(7) makes,
+# bases included, and of the three SEARCH_GRAPHS
+SEARCHES_LE7 = (1480, "a228d5b2b9560780a46cb01c79b84b455debd46bae9931a0a0812bfc692b978c")
+SEARCH_GRAPHS_SHA256 = "16469093f2b61dee670bac6a191f966996a409c17c8e6242f328025b7d21927e"
+
+
+class TestSearchPinned:
+    """The order and the Aut generators of each canonical search are
+    pinned: _children and c_G_of_m read the generators, not only the
+    classes they lead to."""
+
+    def test_graph_classes_searches(self, monkeypatch):
+        import copwin.enumeration as enumeration
+
+        search = enumeration._order_and_neighbors
+        searches = []
+        graph_classes(6)  # each level below reads its bases from the cache
+
+        def recorded(g):
+            order, nbrs, gens = search(g)
+            searches.append((g.adj, order, gens))
+            return order, nbrs, gens
+
+        monkeypatch.setattr(enumeration, "_order_and_neighbors", recorded)
+        # each level's searches, as a cold graph_classes(7) makes them:
+        # the bases' in _children, then each child's
+        for n in range(2, 8):
+            enumeration.graph_classes.__wrapped__(n)
+        assert (len(searches), _search_digest(searches)) == SEARCHES_LE7
+
+    def test_search_graphs(self):
+        searches = []
+        for name in sorted(SEARCH_GRAPHS):
+            g = SEARCH_GRAPHS[name]
+            order, _, gens = _order_and_neighbors(g)
+            searches.append((g.adj, order, gens))
+        assert _search_digest(searches) == SEARCH_GRAPHS_SHA256
