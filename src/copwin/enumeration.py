@@ -13,13 +13,16 @@ Two enumeration styles:
 
 The canonical form is a minimum adjacency code over orderings that
 respect an iterated degree refinement.  Refinement only prunes the
-search; it never merges non-isomorphic graphs.  Five exact cuts leave
-the chosen ordering unchanged:
+search; it never merges non-isomorphic graphs.  It works on cells: a
+round re-keys only the vertices of cells of more than one vertex, since
+a singleton has nothing to split, and it hands the search its cells in
+colour order.  Five exact cuts leave the chosen ordering unchanged:
 
 * the refinement stops at the first round that splits no cell, since
   further rounds would not change the partition either;
 * a discrete refinement admits one ordering, so it is the answer with
-  no search;
+  no search, and a search depth whose cell is one vertex places that
+  vertex with no choice to make (a forced placement);
 * the search skips a vertex that is a twin of one already tried at the
   same node, since swapping twins is an automorphism that fixes the
   placed prefix and so repeats the earlier subtree's codes;
@@ -73,31 +76,41 @@ def enumerate_connected(n):
             yield g
 
 
-def _refine_colors(nbrs):
-    """Iterated neighbor-color refinement from the degrees; returns a
-    label-invariant coloring as a list of color indices, colors ordered
-    by their key.
+def _refine_cells(nbrs):
+    """Iterated neighbour-colour refinement from the degrees: the
+    label-invariant cells in colour order, each ascending, a vertex's
+    colour being its cell's index.
 
-    A round only splits cells, since a key starts with the vertex's own
-    color.  So a round that splits no cell is the fixpoint, up to the
-    renumbering it already did, and a discrete coloring cannot split.
-    A singleton cell's key is its color alone: no other key starts with
-    that color, so the order of the keys is the same.
-    """
-    colors = [len(ns) for ns in nbrs]
-    cells = len(set(colors))
-    while True:
-        size = [0] * len(nbrs)
-        for c in colors:
-            size[c] += 1
-        get = colors.__getitem__
-        keys = [(c, *sorted(map(get, ns))) if size[c] > 1 else (c,) for c, ns in zip(colors, nbrs)]
-        order = sorted(set(keys))
-        index = {k: i for i, k in enumerate(order)}
-        colors = [index[k] for k in keys]
-        if len(order) in (cells, len(nbrs)):
-            return colors
-        cells = len(order)
+    A round splits each cell of more than one vertex by its vertices'
+    sorted neighbour colours, the parts in key order in the cell's
+    place; a singleton has nothing to split.  Within one cell the keys
+    have one length, so their order is the order of the colours, however
+    numbered.  A round only splits cells, so one that splits none is the
+    fixpoint, and a discrete partition cannot split."""
+    n = len(nbrs)
+    by_degree = {}
+    for v, ns in enumerate(nbrs):
+        by_degree.setdefault(len(ns), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    color = [0] * n
+    get = color.__getitem__
+    while len(cells) < n:
+        for c, cell in enumerate(cells):
+            for v in cell:
+                color[v] = c
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted(map(get, nbrs[v]))), []).append(v)
+            split += [parts[key] for key in sorted(parts)]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 def canonical_order(g):
@@ -138,21 +151,21 @@ def _order_and_neighbors(g):
     ordering hold a transversal of each stabiliser along it: they
     generate Aut(g).  Every leaf below a first difference (i, w) has
     that first difference, so leaving its subtree loses no generator,
-    and the bound prunes only leaves worse than the best."""
+    and the bound prunes only leaves worse than the best.
+
+    The search reads its cells from _refine_cells.  At a depth whose
+    cell is one vertex, every leaf places that vertex there, so no
+    first difference falls at that depth: the vertex is placed
+    directly, with no candidate loop, tried set or twin test, and the
+    equal-leaf exit never stops there."""
     n = g.n
     adj = g.adj
     nbrs = [bits(m) for m in adj]
-    colors = _refine_colors(nbrs)
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
+    cells = _refine_cells(nbrs)
     if len(cells) == n:
-        order = [0] * n
-        for v, c in enumerate(colors):
-            order[c] = v
-        return order, nbrs, []
+        return [cell[0] for cell in cells], nbrs, []
     # the cells are placed in color order, so each depth has its cell
-    cell_at = [cells[c] for c in sorted(cells) for _ in cells[c]]
+    cell_at = [cell for cell in cells for _ in cell]
 
     # twin[v]: least twin of v (v itself if none).  Twins share their
     # open neighbourhoods (non-adjacent) or their closed ones (adjacent).
@@ -198,9 +211,24 @@ def _order_and_neighbors(g):
             leaves.append(placed[:])
             unwind = i
             return False
+        cell = cell_at[depth]
+        if len(cell) == 1:
+            # a forced placement: the one candidate, so no twin to skip
+            v = cell[0]
+            row = sum(map(weight.__getitem__, nbrs[v])) >> n - depth
+            if best_code is not None and equal_prefix:
+                if row > best_code[depth]:
+                    return False
+                equal_prefix = row == best_code[depth]
+            placed[depth] = v
+            rows[depth] = row
+            weight[v] = 1 << n - 1 - depth
+            improved = dfs(depth + 1, equal_prefix)
+            weight[v] = 0
+            return improved
         improved = False
         tried = set()
-        for v in cell_at[depth]:
+        for v in cell:
             if weight[v] or twin[v] in tried:
                 continue
             tried.add(twin[v])

@@ -23,10 +23,26 @@ run on whole vectors at C speed:
   ``_step_tables``).
 * One cop's move.  Split the vector into n blocks of n^(k-1) fields,
   one per vertex v of cop 1.  Output block v is the OR of input blocks
-  w in N[v], on ints; cop 1 has moved.  n strided assignments of whole
-  fields (1 byte, or one item of a memoryview cast at 2, 4 or 8 bytes;
-  other widths go lane by lane, n * ceil(n/8) of them) then rotate the
-  tuples so that cop 2 is the top digit.
+  w in N[v], on ints; cop 1 has moved.  Then the tuples rotate so that
+  cop 2 is the top digit.  The board's shape picks how blocks are read:
+
+  - k = 1, a field one item (1 byte for n <= 8; 2, 4 or 8 bytes for
+    n <= 16, 25..32, 57..64): a block is a field, so one call reads
+    every field (bytes index to ints; wider fields through one
+    memoryview cast) and one writes them (bytes(), or one array pack).
+  - k = 2, a field one item: rotated block v holds the fields (w, v),
+    column v of the moved blocks, so one strided read per block is
+    the rotation.
+  - Otherwise: n strided assignments of whole fields (1 byte, or one
+    item of a memoryview cast at 2, 4 or 8 bytes; other widths go lane
+    by lane, n * ceil(n/8) of them) write the rotated vector, whose
+    blocks are then sliced again.
+
+  Items are read and written in the host's byte order, so on a
+  big-endian host an item's value has a field's little-endian bytes
+  swapped.  OR acts on each bit alone, so it commutes with any
+  permutation of the bytes, and the items it writes back in the same
+  order are exactly the little-endian fields.
   k such moves make the cop-move union of one round (the cops move one
   at a time, after Petr, Portier and Versteegen, "A faster algorithm
   for Cops and Robbers", 2022), with k - 1 rotations: the union of a
@@ -122,6 +138,7 @@ round:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
@@ -288,19 +305,44 @@ class _Board:
         output block v is the OR of input blocks w in N[v], then the
         tuples rotate so the next cop is on top.  The last move is not
         rotated back: the result is symmetric too, so each field still
-        reads its own value (not so for k >= 2 on an asymmetric vec)."""
-        n, nb, size, block = self.n, self.nb, self.size, self.block
-        fmt, whole = self.fmt, self.fmt or nb == 1
-        for cop in range(self.k):
-            blocks = [int.from_bytes(vec[i:i + block], "little") for i in range(0, size, block)]
+        reads its own value (not so for k >= 2 on an asymmetric vec).
+
+        The board's shape picks how blocks are read (module docstring):
+        at k = 1 with a field of one item, all fields in one call and
+        back in one; at k = 2 with a field of one item, cop 2's blocks
+        as the columns of cop 1's moved blocks; else a rotated vector
+        written by strided assignments and sliced again.  Items are in
+        the host's byte order, which is safe: OR acts bit by bit, so it
+        commutes with any reordering of a field's bytes."""
+        n, k, nb, fmt = self.n, self.k, self.nb, self.fmt
+        whole = fmt or nb == 1
+        if k == 1 and whole:
+            # a block is one field: one call reads them all, one writes them
+            items = vec if nb == 1 else memoryview(vec).cast(fmt).tolist()
+            moved = []
+            for closed in self.closed:
+                acc = 0
+                for w in closed:
+                    acc |= items[w]
+                moved.append(acc)
+            return bytes(moved) if nb == 1 else array(fmt, moved).tobytes()
+        size, block = self.size, self.block
+        blocks = [int.from_bytes(vec[i:i + block], "little") for i in range(0, size, block)]
+        for cop in range(k):
             moved = []
             for closed in self.closed:
                 acc = 0
                 for w in closed:
                     acc |= blocks[w]
                 moved.append(acc.to_bytes(block, "little"))
-            if cop == self.k - 1:
+            if cop == k - 1:
                 return b"".join(moved)
+            if k == 2 and whole:
+                # rotated block v is (v, w) for each w: column v of the moved (w, v)
+                vec = b"".join(moved)
+                items = memoryview(vec).cast(fmt) if fmt else vec
+                blocks = [int.from_bytes(items[v::n], "little") for v in range(n)]
+                continue
             vec = bytearray(size)
             # field (v, rest) goes to field (rest, v), whole fields where one item holds
             # them; at 1 byte the bytearray's own strided loop beats memoryview's copy
@@ -311,6 +353,7 @@ class _Board:
                 else:
                     for j in range(nb):
                         vec[v * nb + j::n * nb] = part[j::nb]
+            blocks = [int.from_bytes(vec[i:i + block], "little") for i in range(0, size, block)]
 
     def robber_step(self, moves):
         """The robber step for robber moves given as (vertex, move mask)

@@ -10,6 +10,7 @@ from copwin.enumeration import (
     _children,
     _neighbour_sets,
     _order_and_neighbors,
+    _refine_cells,
     canonical_graph,
     canonical_order,
     connected_graph_classes,
@@ -214,6 +215,31 @@ class TestCanonicalExactness:
         subtrees by the current-best bound and by equal leaves."""
         g = SEARCH_GRAPHS[name]
         assert canonical_order(g) == _reference_order(g)
+
+
+class TestRefinement:
+    """The search's cell-local refinement against the reference
+    _refined_cells, which re-keys every vertex each round."""
+
+    @staticmethod
+    def _cells(g):
+        return _refine_cells([g.neighbors(v) for v in range(g.n)])
+
+    def test_every_class_relabelled(self):
+        rng = random.Random(40)
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                g = relabel(g, rng.sample(range(n), n))
+                assert self._cells(g) == _refined_cells(g), g
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS) + sorted(SEARCH_GRAPHS))
+    def test_named_and_search_graphs(self, name):
+        g = {**NAMED_GRAPHS, **SEARCH_GRAPHS}[name]
+        assert self._cells(g) == _refined_cells(g)
+
+    def test_path_splits_in_two_rounds(self):
+        # degrees {0, 6} and {1..5}; then {1, 5} and {2, 3, 4}; then {2, 4} and {3}
+        assert self._cells(path(7)) == [[0, 6], [1, 5], [2, 4], [3]]
 
 
 class TestClasses:

@@ -520,10 +520,12 @@ class TestLayeredMoves:
         # connected classes on 9 vertices with k <= 2; then seeded
         # connected graphs on 17, 25, 33 and 57 vertices with k <= 2, for
         # 3, 4, 5 and 8 bytes a field: both rotations, whole fields and
-        # lane by lane.  The cop-move union of a random symmetric vector
-        # is, at every ordered tuple, the OR over the product successors
-        # of its multiset: the result is symmetric, which the union's
-        # unrotated last move relies on
+        # lane by lane.  Then the edges of the one-item reads: k = 1 on
+        # 8, 16, 32 and 64 vertices (a field of 1, 2, 4 or 8 bytes), and
+        # k = 2 columns on 7, 8 and 16.  The cop-move union of a random
+        # symmetric vector is, at every ordered tuple, the OR over the
+        # product successors of its multiset: the result is symmetric,
+        # which the union's unrotated last move relies on
         rng = random.Random(8)
         cases = [(g, k) for n in range(1, 7) for g in connected_graph_classes(n) for k in (1, 2, 3)]
         cases += [(petersen_graph, k) for k in (1, 2, 3)]
@@ -534,6 +536,9 @@ class TestLayeredMoves:
                 sample.append(canonical_graph(g))
         cases += [(g, k) for g in sample for k in (1, 2)]
         cases += [(_seeded_connected(n, rng), k) for n in (17, 25, 33, 57) for k in (1, 2)]
+        edges = random.Random(40)
+        cases += [(_seeded_connected(n, edges), 1) for n in (8, 16, 32, 64)]
+        cases += [(_seeded_connected(n, edges), 2) for n in (7, 8, 16)]
         for g, k in cases:
             board = _Board(g, k)
             positions = list(combinations_with_replacement(range(g.n), k))
