@@ -19,6 +19,7 @@ from copwin.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    SIMULATE_MAX_ROUNDS,
     main,
 )
 from copwin.enumeration import connected_graph_classes, graph_classes
@@ -649,3 +650,16 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_max_rounds_is_capped(self, petersen_file, capsys):
+        # every round is kept in memory, so a value above the cap is
+        # rejected before the first trace is written; the cap itself runs
+        code, text = run(["simulate", "--input", petersen_file,
+                          "--max-rounds", str(SIMULATE_MAX_ROUNDS + 1)])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --max-rounds must be at most ")
+        code, text = run(["simulate", "--input", petersen_file,
+                          "--max-rounds", str(SIMULATE_MAX_ROUNDS)])
+        assert code == EXIT_OK
+        assert "captured round=" in text
