@@ -47,7 +47,7 @@ from .strategy import (
     theorem1_hypothesis,
     verify_key_inequality,
 )
-from .traps import check_lemma4, check_lemma5, trap_report
+from .traps import _thresholds, check_lemma4, check_lemma5, trap_report
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -66,7 +66,7 @@ ALL_CHECKS = ("theorem1", "conj_sqrt_n", "conj_teleport", "preceq_equiv", "lemma
 
 
 def _kv(record):
-    return " ".join("%s=%s" % kv for kv in record.items())
+    return " ".join([f"{k}={v}" for k, v in record.items()])
 
 
 def _emit(out, record, as_json):
@@ -78,10 +78,6 @@ def _summary(out, check, counts, as_json):
         _emit(out, {"summary": check, **counts}, True)
     else:
         out.write("# summary check=%s %s\n" % (check, _kv(counts)))
-
-
-def _fmt_diameter(d):
-    return "inf" if d == math.inf else d
 
 
 def _graphs(args, out, found):
@@ -183,8 +179,8 @@ def _scan_one(check, text, g, budget):
     rec = {
         "graph": text or emit_graph6(g),
         "n": n,
-        "diameter": _fmt_diameter(d),
-        "bipartite": str(bipartite).lower(),
+        "diameter": "inf" if d == math.inf else d,
+        "bipartite": "true" if bipartite else "false",
     }
     if check == "theorem1":
         bound = math.isqrt(2 * n)
@@ -192,11 +188,10 @@ def _scan_one(check, text, g, budget):
         rec.update({"c": c, "bound": bound})
         return rec, "pass" if c <= bound else "fail"
     if check == "lemma4":
-        bound = math.isqrt(n)
-        rec["bound"] = bound
+        rec["bound"] = math.isqrt(n)
         return rec, "pass" if check_lemma4(g) else "fail"
     if check == "lemma5":
-        okay, worst = check_lemma5(n, trap_report(g)[0])
+        okay, worst = check_lemma5(n, _thresholds(g, range(n)))
         rec["min_margin"] = worst
         return rec, "pass" if okay else "fail"
     if check == "conj_sqrt_n":
@@ -278,7 +273,7 @@ def cmd_trap(args, out, found):
             "graph": text or emit_graph6(g),
             "n": g.n,
             "alpha": alpha,
-            "thresholds": ",".join(str(t) for t in thresholds),
+            "thresholds": ",".join([str(t) for t in thresholds]),
             "alpha_traps": count,
         }
         _emit(out, rec, args.json)

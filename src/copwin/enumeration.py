@@ -16,7 +16,11 @@ respect an iterated degree refinement.  Refinement only prunes the
 search; it never merges non-isomorphic graphs.  It works on cells: a
 round re-keys only the vertices of cells of more than one vertex, since
 a singleton has nothing to split, and it hands the search its cells in
-colour order.  Five exact cuts leave the chosen ordering unchanged:
+colour order.  A vertex's key is one int, the sum over its neighbours
+of B^(n - 1 - colour) with B = 2^bit_length(n); a cell's vertices share
+a degree and each per-colour count is below B, so descending key order
+is ascending sorted neighbour-colour order.  Five exact cuts leave the
+chosen ordering unchanged:
 
 * the refinement stops at the first round that splits no cell, since
   further rounds would not change the partition either;
@@ -81,32 +85,38 @@ def _refine_cells(nbrs):
     label-invariant cells in colour order, each ascending, a vertex's
     colour being its cell's index.
 
-    A round splits each cell of more than one vertex by its vertices'
-    sorted neighbour colours, the parts in key order in the cell's
-    place; a singleton has nothing to split.  Within one cell the keys
-    have one length, so their order is the order of the colours, however
-    numbered.  A round only splits cells, so one that splits none is the
-    fixpoint, and a discrete partition cannot split."""
+    A round splits each cell of more than one vertex by the key
+    sum(B^(n - 1 - colour of u) for u in N(v)), B = 2^bit_length(n), the
+    parts in descending key order in the cell's place.  The key's base-B
+    digits are v's neighbour counts per colour, each below B, and a
+    cell's vertices share a degree, so that order is the ascending order
+    of their sorted neighbour colours.  A round only splits cells, so
+    one that splits none is the fixpoint, and a discrete partition
+    cannot split."""
     n = len(nbrs)
     by_degree = {}
     for v, ns in enumerate(nbrs):
         by_degree.setdefault(len(ns), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
-    color = [0] * n
-    get = color.__getitem__
+    shift = n.bit_length()  # B = 1 << shift
+    weight = [0] * n  # weight[v]: B^(n - 1 - colour of v)
+    get = weight.__getitem__
     while len(cells) < n:
-        for c, cell in enumerate(cells):
+        w = 1 << shift * n
+        for cell in cells:
+            w >>= shift
             for v in cell:
-                color[v] = c
+                weight[v] = w
         split = []
         for cell in cells:
-            if len(cell) == 1:
-                split.append(cell)
-                continue
-            parts = {}
-            for v in cell:
-                parts.setdefault(tuple(sorted(map(get, nbrs[v]))), []).append(v)
-            split += [parts[key] for key in sorted(parts)]
+            if len(cell) > 1:
+                parts = {}
+                for v in cell:
+                    parts.setdefault(sum(map(get, nbrs[v])), []).append(v)
+                if len(parts) > 1:
+                    split += [parts[key] for key in sorted(parts, reverse=True)]
+                    continue
+            split.append(cell)  # a singleton, or a cell that did not split
         if len(split) == len(cells):
             break
         cells = split
@@ -288,16 +298,17 @@ def graph_classes(n):
             if rivals:
                 # x must share an orbit with the deletion vertex: the first tied one in order
                 tied = rivals | 1 << x
-                if 1 << x not in _orbit(1 << next(v for v in order if tied >> v & 1), gens):
+                images = [[1 << v for v in perm] for perm in gens]
+                if 1 << x not in _orbit(1 << next(v for v in order if tied >> v & 1), images):
                     continue
             reps.append(_relabel(order, nbrs))
     return tuple(sorted(reps, key=lambda g: g.adj))
 
 
-def _orbit(mask, gens):
+def _orbit(mask, images):
     """The orbit of the vertex set mask, as a set of masks, under the
-    group the permutations gens generate."""
-    images = [[1 << v for v in perm] for perm in gens]
+    group that permutations generate, each given as its bit-images
+    img[v] = 1 << perm[v], which the caller builds once per graph."""
     orbit = {mask}
     todo = [mask]
     for m in todo:
@@ -342,7 +353,7 @@ def _children(base):
     for u, d in enumerate(degs):
         of_deg[d] |= 1 << u
     new_bit = 1 << base.n
-    gens = None
+    images = None
     seen = set()
     for nb_mask in _neighbour_sets(degs):
         if nb_mask in seen:
@@ -368,9 +379,9 @@ def _children(base):
             if key == top:
                 rivals |= 1 << u
         else:
-            if gens is None:  # base is searched once one set passes
-                gens = _order_and_neighbors(base)[2]
-            seen |= _orbit(nb_mask, gens)
+            if images is None:  # base is searched once one set passes
+                images = [[1 << v for v in perm] for perm in _order_and_neighbors(base)[2]]
+            seen |= _orbit(nb_mask, images)
             masks = [m | new_bit if nb_mask >> u & 1 else m for u, m in enumerate(adj)]
             masks.append(nb_mask)
             yield Graph.from_masks(masks), rivals

@@ -147,17 +147,19 @@ def bfs_distances(g, src):
 def diameter(g):
     """Max shortest-path distance over vertex pairs; math.inf if disconnected.
 
-    From each source s, the bitmask walk of ``layers`` runs until it has
-    reached every vertex, counting the layers after {s}; a frontier that
-    empties first means g is disconnected, and math.inf is returned at
-    once.
+    K1 has diameter 0.  From each source s of a larger graph, the walk of
+    ``layers`` starts at depth 1 with adj[s] and runs until it has reached
+    every vertex; a frontier that empties first (at once, for an isolated
+    s) means g is disconnected, and math.inf is returned at once.
     """
+    if g.n == 1:
+        return 0
     adj = g.adj
     full = (1 << g.n) - 1
-    best = 0
-    for s in range(g.n):
-        seen = frontier = 1 << s
-        depth = 0
+    best = 1
+    for s, frontier in enumerate(adj):
+        seen = frontier | 1 << s
+        depth = 1
         while seen != full:
             new = 0
             for v in bits(frontier):

@@ -742,11 +742,11 @@ def c_G_of_m(g, m, budget=DEFAULT_STATE_BUDGET):
         raise ValueError("c_G_of_m capped at n <= %d (C(n,m) solves)" % C_G_OF_M_MAX_N)
     if not 1 <= m <= g.n:
         raise ValueError("m must be in 1..n")
-    gens = _order_and_neighbors(g)[2]
+    images = [[1 << v for v in perm] for perm in _order_and_neighbors(g)[2]]
     best, seen = 0, set()
     for mask in map(sum, combinations([1 << v for v in range(g.n)], m)):
         if mask not in seen:
-            seen |= _orbit(mask, gens)
+            seen |= _orbit(mask, images)
             best = max(best, restricted_cop_number(g, bits(mask), budget=budget))
     return best
 

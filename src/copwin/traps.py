@@ -7,11 +7,10 @@ whose closed neighbourhoods hold N(v): an exact minimum hitting set of
 the edges N[u] - {v}, u in N(v), by the one transversal solver.
 trap_threshold, trap_report and check_lemma4 read the thresholds of a
 graph from one walk (_thresholds), and check_lemma4 stops at the first
-trap.  Nearly all thresholds of small graphs are 1 or 2 (93,338 of the
-95,717 over the connected classes n <= 8), and one exit rule
-(_cover_by_two) answers covers of up to two vertices from ANDs of the
-edges, without search; the walk asks it first, and only the rest enter
-the search.
+trap.  Of the 95,717 thresholds over the connected classes n <= 8, the
+walk decides the 60,921 (64%) of 1 by one AND of the N[u], u in N(v),
+before it builds an edge list; an exit rule (_cover_by_two) answers
+32,417 of 2 from ANDs of the edges, and only 2,378 enter the search.
 
 The search has two modes.  Exact: the least cover, which the thresholds
 and min_transversal ask.  Decision, given at_most = k: a cover of at
@@ -234,16 +233,23 @@ def _thresholds(g, vertices):
     """Yield the threshold of each vertex in vertices, in order: one walk
     over the graph, with the caps checked before the first vertex.
     Vertex v's edges are N[u] - {v} for u in N(v), none empty as each
-    holds u.  The exit rule answers thresholds of up to two, and only the
-    rest (2,378 of the 95,717 over the connected classes n <= 8) enter
-    the search, which tries the exit again at about 1% of the walk's
-    time."""
+    holds u.  The threshold is 1 when v has a neighbour and the AND of
+    those N[u], v cleared, is nonzero.  Otherwise the edges are built,
+    the exit rule answers a threshold of 0 (no neighbour) or 2, and the
+    rest enter the search, which tries the exit again at about 1% of
+    the walk's time."""
     n, adj = g.n, g.adj
     _check_caps(n, n - 1)  # v has at most n - 1 neighbours, one edge each
     for v in vertices:
-        keep = ~(1 << v)
+        nbrs = bits(adj[v])
+        keep = shared = ~(1 << v)
+        for u in nbrs:
+            shared &= adj[u] | 1 << u
+        if shared and nbrs:
+            yield 1
+            continue
         edges = []
-        for u in bits(adj[v]):  # on Python 3.11 a comprehension is slower
+        for u in nbrs:  # on Python 3.11 a comprehension is slower
             edges.append((adj[u] | 1 << u) & keep)
         yield (_cover_by_two(edges, len(edges)) or _min_transversal_masks(n, edges))[0]
 
@@ -299,7 +305,6 @@ def trap_report(g, alpha=None):
         alpha = math.isqrt(g.n)
     elif not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative, got %r" % alpha)
-    thresholds = list(_thresholds(g, range(g.n)))
     floor_alpha = math.floor(alpha)
-    count = sum(1 for t in thresholds if t <= floor_alpha)
-    return thresholds, count
+    thresholds = list(_thresholds(g, range(g.n)))
+    return thresholds, len([t for t in thresholds if t <= floor_alpha])

@@ -194,6 +194,15 @@ class TestMetrics:
         dist = floyd_warshall(g.n, g.edges())
         assert diameter(g) == max(max(row) for row in dist)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_diameter_matches_floyd_warshall_on_every_class(self, n):
+        # the walk starts at each source's first layer; K1 (diameter 0)
+        # and the classes with an isolated vertex (math.inf) are the
+        # cases that start treats apart
+        for g in graph_classes(n):
+            dist = floyd_warshall(g.n, g.edges())
+            assert diameter(g) == max(max(row) for row in dist), g
+
     def test_bipartite(self, heawood_graph):
         assert is_bipartite(cycle(4))
         assert not is_bipartite(cycle(5))
