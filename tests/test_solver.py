@@ -236,6 +236,24 @@ class TestBounds:
                 assert lb <= _least_winning_k(g) <= gamma, g
                 assert min_cover(h, full, at_most=gamma)[0] == gamma, g
 
+    def test_lower_bound_reads_the_core(self):
+        # every connected class n <= 8: the game's graph is one vertex
+        # exactly when the core is one vertex, and LB is then 1; on every
+        # other class it is the induced subgraph on the core, and LB is
+        # the core's minimum degree when at least 3 with girth >= 5, else 2
+        for n in range(1, 9):
+            for g in connected_graph_classes(n):
+                keep = core(g)
+                lb, h = _lower_bound(g, GameConfig())
+                assert (h.n == 1) == (keep.bit_count() == 1), g
+                if h.n == 1:
+                    assert (lb, h) == (1, Graph(1)), g
+                    continue
+                want = induced_subgraph(g, bits(keep))
+                delta = min(want.degrees())
+                assert h == want, g
+                assert lb == (delta if delta >= 3 and girth(want) >= 5 else 2), g
+
     def test_teleport_bounded_by_domination(self):
         for n in range(1, 8):
             for g in connected_graph_classes(n):
@@ -609,15 +627,31 @@ class TestLayeredMoves:
         # the superset indicator of every byte, and the translate tables
         # of seeded robber moves on 1 to 5 bytes a field, against the
         # definitions: tables[b][o] sums, over the lane-o vertices r, the
-        # superset indicator of r's moves in lane b shifted to r's bit
+        # superset indicator of r's moves in lane b shifted to r's bit.
+        # One byte a field gets 300 seeded move sets on 1 to 8 vertices,
+        # each arena a random subset (so it may skip vertices) with one
+        # vertex's moves forced to 0 in every third, and two fixed ones:
+        # a robber with no move is trapped in every field, and a vertex
+        # off the arena is never
         for part in range(256):
             want = bytes(x & part == part for x in range(256))
             assert _supersets(part).to_bytes(256, "little") == want, part
         rng = random.Random(40)
+        cases = []
         for nb in range(1, 6):
             n = rng.randint(8 * nb - 7, 8 * nb)
             verts = sorted(rng.sample(range(n), rng.randint(1, n)))
-            moves = tuple((r, rng.getrandbits(n)) for r in verts)
+            cases.append((nb, tuple((r, rng.getrandbits(n)) for r in verts)))
+        for i in range(300):
+            n = rng.randint(1, 8)
+            verts = sorted(rng.sample(range(n), rng.randint(1, n)))
+            moves = [(r, rng.getrandbits(n)) for r in verts]
+            if i % 3 == 0:
+                j = rng.randrange(len(moves))
+                moves[j] = (moves[j][0], 0)
+            cases.append((1, tuple(moves)))
+        cases += [(1, ((1, 0), (3, 0b1010), (6, 0b1001000))), (1, ((7, 0),))]
+        for nb, moves in cases:
             want = tuple(
                 tuple(
                     sum(
@@ -627,7 +661,24 @@ class TestLayeredMoves:
                 )
                 for b in range(nb)
             )
-            assert _step_tables(nb, moves) == want, nb
+            assert _step_tables(nb, moves) == want, (nb, moves)
+        table = _step_tables(1, ((1, 0), (3, 0b1010), (6, 0b1001000)))[0][0]
+        assert all(table[x] & 0b10 and not table[x] & 0b10110101 for x in range(256))
+
+    def test_spread_matches_its_definition(self):
+        # seeded masks on 1 to 8 vertices (one byte a field) and on 9
+        # and 16 (two), k = 1..3: field (v_1, ..., v_k) of the spread is
+        # the OR of masks[v_i], read through every ordered tuple
+        rng = random.Random(41)
+        for n in list(range(1, 9)) + [9, 16]:
+            for k in (1, 2, 3):
+                board = _Board(cycle(n) if n >= 3 else path(n), k)
+                masks = [rng.getrandbits(n) for _ in range(n)]
+                vec = board.spread(masks)
+                assert len(vec) == board.size, (n, k)
+                for t in product(range(n), repeat=k):
+                    want = _or_all(masks[v] for v in t)
+                    assert board.read(vec, board.field(t)) == want, (n, k, t)
 
     def test_verdict_stops_at_the_first_full_round(self, petersen_graph):
         # every connected class n <= 6 and Petersen, k <= 3, a passing
