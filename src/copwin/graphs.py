@@ -229,9 +229,11 @@ def induced_subgraph(g, verts):
     verts = sorted(set(verts))
     if not verts or verts[0] < 0 or verts[-1] >= g.n:
         raise ValueError("induced subgraph needs one or more vertices, all in 0..%d" % (g.n - 1))
-    index = {v: i for i, v in enumerate(verts)}
-    vm = sum(1 << v for v in verts)
-    return Graph.from_masks([sum(1 << index[w] for w in bits(g.adj[v] & vm)) for v in verts])
+    bit = [0] * g.n  # each kept vertex's new bit, 0 off the subset
+    for i, v in enumerate(verts):
+        bit[v] = 1 << i
+    adj = g.adj
+    return Graph.from_masks([sum(map(bit.__getitem__, bits(adj[v]))) for v in verts])
 
 
 def core(g):
@@ -242,13 +244,16 @@ def core(g):
     vertices still alive, until none is left.  Deleting a corner is a
     retract that keeps the cop number (Berarducci and Intrigila, 1993),
     and the core is the same up to isomorphism in every deletion order.
+    Passes run in vertex order, and stop at the vertex deleted last:
+    every vertex has been checked since, against the vertices left.
     """
     adj = g.adj
     alive = (1 << g.n) - 1
-    shrunk = True
-    while shrunk:
-        shrunk = False
+    last = -1
+    while True:
         for u, nu in enumerate(adj):
+            if u == last:
+                return alive
             bit = 1 << u
             if not alive & bit:
                 continue
@@ -256,9 +261,10 @@ def core(g):
             for v in bits(nu & alive):
                 if cu & ~(adj[v] | 1 << v) == 0:
                     alive ^= bit
-                    shrunk = True
+                    last = u
                     break
-    return alive
+        if last < 0:  # the first pass deleted nothing
+            return alive
 
 
 def is_dismantlable(g):

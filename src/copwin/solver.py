@@ -17,10 +17,10 @@ run on whole vectors at C speed:
   the lane-o vertices r whose moves in lane b lie inside the byte x,
   built from one 256-entry superset indicator per move-mask byte.
   The vertices whose every move lies in a field are the AND over b of
-  lane b translated through tables[b][o].  The tables depend only on
-  the robber's moves, so an arena changes only them; they are cached,
-  which pays in the preceq check's four solves per graph (see
-  ``_step_tables``).
+  lane b translated through tables[b][o]; at one byte a field that is
+  one translate.  The tables depend only on the robber's moves, so an
+  arena changes only them; they are cached, which pays in the preceq
+  check's four solves per graph (see ``_step_tables``).
 * One cop's move.  Split the vector into n blocks of n^(k-1) fields,
   one per vertex v of cop 1.  Output block v is the OR of input blocks
   w in N[v], on ints; cop 1 has moved.  Then the tuples rotate so that
@@ -57,6 +57,17 @@ vectors: C_0 and the R_0 built from it), must each be within the
 budget.  Each later round is held to the same budget as it is computed,
 one vector for every round so far plus the R vector in flight, whether
 or not the caller keeps the rounds.
+
+What a solve builds before its first round, and what it shares.  Each
+solve builds its own board (the closed neighbourhood lists of g, read
+off g.adj), its robber's move masks, the capture vector C_0 (at k = 1
+and one byte a field, one bytes() of the masks) and its round
+generator.  The robber step's translate tables are the one thing
+shared between solves, through _step_tables' cache of 64 move sets.
+Boards are not cached: the preceq check builds each (g, k) board twice,
+but a bounded cache of boards keyed by (g, k) measured no faster.
+A cop-number search takes the core and LB once for every k, and a
+one-vertex core is one shared K_1, with no subgraph built.
 
 Winning states are the cop attractor of the capture states, computed in
 rounds over mask vectors of robber vertices.  One loop serves the
@@ -115,7 +126,8 @@ at most k vertices and stops at the first, so no test proves a minimum.
 The robber may be restricted to a sub-arena (vertex subset with its own
 edge set), which is what the restricted cop numbers c_G(H) and c_G(m)
 are about.  Every game reads and checks its arena in one place,
-_robber_moves, whose arena mask and robber moves the other readers take.
+_arena_mask; _robber_moves adds the robber's moves on it, which every
+solve reads.
 
 Every cop number (c, c_T, c_G(H), c_G(m)) comes from one ascending
 search, _least_winning_k, from a lower bound LB up.  Each k is first
@@ -139,13 +151,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
 
 from .enumeration import _orbit, _order_and_neighbors
 from .errors import CopwinError, StateBudgetError
-from .graphs import bits, core, girth, induced_subgraph, is_connected, reachable_mask
+from .graphs import Graph, bits, core, girth, induced_subgraph, is_connected, reachable_mask
 from .traps import min_cover
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -237,6 +249,10 @@ def _as_int(vec):
     return int.from_bytes(vec, "little")
 
 
+_ITEM = {2: "H", 4: "I", 8: "Q"}  # memoryview formats of one-item fields
+_K1 = Graph(1)  # the core of every dismantlable graph
+
+
 class _Board:
     """The n^k ordered cop tuples of k cops on g, and the operations on
     their mask vectors (see the module docstring for the layout)."""
@@ -248,8 +264,8 @@ class _Board:
         self.fields = n**k
         self.size = self.fields * nb  # bytes of one vector
         self.block = self.size // n  # bytes per value of the top cop
-        self.closed = [bits(g.closed_mask(v)) for v in range(n)]
-        self.fmt = {2: "H", 4: "I", 8: "Q"}.get(nb)  # a field as one memoryview item
+        self.closed = [bits(m | 1 << v) for v, m in enumerate(g.adj)]
+        self.fmt = _ITEM.get(nb)  # a field as one memoryview item
 
     def field(self, pos):
         """The field of cop position pos; KeyError when pos is not k
@@ -285,17 +301,15 @@ class _Board:
     def spread(self, masks):
         """The vector whose field (v_1, ..., v_k) is the OR of masks[v_i],
         built one cop at a time: the blocks of k - 1 cops, each ORed
-        with the new top cop's mask repeated over the block."""
+        with the new top cop's mask times an int holding 1 in the low
+        byte of every field of the block (no field carries into the
+        next).  At one byte a field, the masks are the bytes of k = 1."""
         nb = self.nb
-        parts = [m.to_bytes(nb, "little") for m in masks]
-        vec = b"".join(parts)
-        for j in range(1, self.k):
-            low = _as_int(vec)
-            size, count = len(vec), self.n**j
-            vec = b"".join(
-                (low | _as_int(p * count)).to_bytes(size, "little")
-                for p in parts
-            )
+        vec = bytes(masks) if nb == 1 else b"".join(m.to_bytes(nb, "little") for m in masks)
+        for _ in range(1, self.k):
+            low, size = _as_int(vec), len(vec)
+            ones = _as_int((b"\x01" + bytes(nb - 1)) * (size // nb))
+            vec = b"".join((low | m * ones).to_bytes(size, "little") for m in masks)
         return vec
 
     def union(self, vec):
@@ -397,6 +411,8 @@ def _step_tables(nb, moves):
     byte x.  Each is the sum, over those r, of the superset indicator of
     r's moves in lane b shifted to r's bit; the bits differ, so nothing
     carries.  One pass over the moves fills every table of a lane b.
+    At one byte a field (n <= 8, every solve of the small scans) the
+    one table is a single sum over the moves, with no lane split.
 
     The cache pays in the preceq check: its four solves per graph (the
     fixpoint and the no-pass game, at k = 1 and 2) share one set of
@@ -404,11 +420,15 @@ def _step_tables(nb, moves):
     the bounds leave a restricted search about one k to solve per
     arena, the standard cop-number search solves k = 1 on G and k >= 2
     on the core, and the teleport game builds no vectors."""
-    sums = [[0] * nb for _ in range(nb)]  # sums[b][o]
-    for b, row in enumerate(sums):
+    if nb == 1:  # one table, no lanes to split moves or vertices by
+        return ((sum(_supersets(mv) << r for r, mv in moves).to_bytes(256, "little"),),)
+    tables = []
+    for b in range(nb):
+        row = [0] * nb  # row[o], for lane o
         for r, mv in moves:
             row[r >> 3] += _supersets(mv >> 8 * b & 0xFF) << (r & 7)
-    return tuple(tuple(t.to_bytes(256, "little") for t in row) for row in sums)
+        tables.append(tuple(t.to_bytes(256, "little") for t in row))
+    return tuple(tables)
 
 
 class SolveResult:
@@ -545,16 +565,19 @@ def _keep(kept, budget):
         raise StateBudgetError(kept, budget, counted="bytes")
 
 
+def _arena_mask(g, cfg):
+    """The arena mask of cfg on g.  The one reader of a game's arena: a
+    given arena is checked here, its mask returned by the check."""
+    arena = cfg.robber_arena
+    return (1 << g.n) - 1 if arena is None else arena.validate_against(g)
+
+
 def _robber_moves(g, cfg):
     """The arena mask of cfg on g and each arena vertex's robber move
-    mask: its arena neighbours, and itself when he may pass.  The one
-    reader of a game's arena: a given arena is checked here, its mask
-    returned by the check; the full arena is g's own adjacency."""
-    arena, stay = cfg.robber_arena, cfg.robber_may_pass
-    if arena is None:
-        mask, adj = (1 << g.n) - 1, g.adj
-    else:
-        mask, adj = arena.validate_against(g), arena.adj
+    mask: its arena neighbours, and itself when he may pass.  The full
+    arena's moves are g's own adjacency."""
+    mask, arena = _arena_mask(g, cfg), cfg.robber_arena
+    adj, stay = g.adj if arena is None else arena.adj, cfg.robber_may_pass
     return mask, {r: adj[r] | (1 << r if stay else 0) for r in bits(mask)}
 
 
@@ -656,9 +679,9 @@ def _lower_bound(g, template):
     if template.variant != "standard" or arena is not None or not template.robber_may_pass:
         return 1, None
     keep = core(g)
+    if keep & (keep - 1) == 0:  # one vertex: g is dismantlable
+        return 1, _K1
     h = g if keep == (1 << g.n) - 1 else induced_subgraph(g, bits(keep))
-    if h.n == 1:
-        return 1, h
     delta = min(h.degrees())  # at least 2: a leaf is a corner
     return (delta if delta >= 3 and girth(h) >= 5 else 2), h
 
@@ -682,10 +705,11 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
     top = max_k if max_k is not None else g.n
 
     def decide(k, on):
+        cfg = GameConfig(k, template.variant, template.robber_may_pass, template.robber_arena)
         if template.variant == "teleport":
-            return _teleport_wins(on, replace(template, k=k))
+            return _teleport_wins(on, cfg)
         try:
-            return wins(on, replace(template, k=k), budget)
+            return wins(on, cfg, budget)
         except StateBudgetError as e:
             raise StateBudgetError(
                 e.estimated, e.budget, lower_bound=max(lb, k), counted=e.counted
@@ -695,7 +719,7 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
         h = g  # a game without a core
     elif g.n <= DISMANTLABLE_CROSS_CHECK_MAX_N and decide(1, g) != (h.n == 1):
         raise CopwinError("solver/dismantlability mismatch on %d-vertex graph" % g.n)
-    amask = _robber_moves(h, template)[0]  # a given arena is checked here
+    amask = _arena_mask(h, template)  # a given arena is checked here
     for k in range(lb, top + 1):
         try:  # a dismantlable G's one-vertex core needs no query
             size = 1 if h.n == 1 else min_cover(h, amask, at_most=k)[0]

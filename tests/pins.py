@@ -2,8 +2,9 @@
 library call and returns what it observed, and PINS holds what each value
 must equal.  `PYTHONPATH=src python tests/pins.py [NAME...]` runs the pins
 named, or all in table order, and prints each one's name, seconds and OK or
-FAIL, with the expected and observed value of each field that differs; it
-exits 1 on any FAIL and 2 on an unknown name.  Pins write under OUT; the
+FAIL, with the expected and observed value of each field that differs, or
+the exception a pin raised (the pins after it still run); it exits 1 on any
+FAIL and 2 on an unknown name.  Pins write under OUT; the
 n = 9 pins read OUT/classes9.g6, which solve9 writes if it is not there.
 """
 
@@ -211,7 +212,13 @@ def main(names):
     for name in names or PINS:
         run, want = PINS[name]
         start = time.perf_counter()
-        got = run()
+        try:
+            got = run()
+        except Exception as e:  # the pins after it still run
+            print("%-16s %6.1f s  FAIL" % (name, time.perf_counter() - start))
+            print("    raised %r" % (e,))
+            failed += 1
+            continue
         diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
         print("%-16s %6.1f s  %s" % (name, time.perf_counter() - start, "FAIL" if diff else "OK"))
         for k in diff:
