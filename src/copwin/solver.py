@@ -576,8 +576,9 @@ def _robber_moves(g, cfg):
     """The arena mask of cfg on g and each arena vertex's robber move
     mask: its arena neighbours, and itself when he may pass.  The full
     arena's moves are g's own adjacency."""
-    mask, arena = _arena_mask(g, cfg), cfg.robber_arena
-    adj, stay = g.adj if arena is None else arena.adj, cfg.robber_may_pass
+    arena, stay = cfg.robber_arena, cfg.robber_may_pass
+    adj = g.adj if arena is None else arena.adj
+    mask = _arena_mask(g, cfg)
     return mask, {r: adj[r] | (1 << r if stay else 0) for r in bits(mask)}
 
 
@@ -705,7 +706,8 @@ def _least_winning_k(g, template, budget=DEFAULT_STATE_BUDGET, max_k=None):
     top = max_k if max_k is not None else g.n
 
     def decide(k, on):
-        cfg = GameConfig(k, template.variant, template.robber_may_pass, template.robber_arena)
+        cfg = GameConfig(k=k, variant=template.variant, robber_may_pass=template.robber_may_pass,
+                         robber_arena=template.robber_arena)
         if template.variant == "teleport":
             return _teleport_wins(on, cfg)
         try:
