@@ -151,7 +151,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
 
@@ -164,13 +164,13 @@ DEFAULT_STATE_BUDGET = 50_000_000
 DISMANTLABLE_CROSS_CHECK_MAX_N = 32
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(namedtuple("Arena", "vertices adj")):
     """The robber's playground: a vertex subset of G with an edge set
-    that must be a subset of G's edges on those vertices."""
+    that must be a subset of G's edges on those vertices.  vertices is
+    a tuple of labels; adj holds one bitmask per vertex of G, indexed by
+    label, zero off the arena."""
 
-    vertices: tuple
-    adj: tuple  # bitmasks indexed by G-vertex label; zero off the arena
+    __slots__ = ()
 
     @staticmethod
     def _labels(g, verts):
@@ -229,20 +229,19 @@ class Arena:
         return mask
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Everything pinning down one game instance apart from the graph."""
+class GameConfig(namedtuple("GameConfig", "k variant robber_may_pass robber_arena")):
+    """Everything pinning down one game instance apart from the graph:
+    k cops, the variant ("standard" or "teleport"), whether the robber
+    may pass, and his arena (None for all of G)."""
 
-    k: int = 1
-    variant: str = "standard"  # "standard" | "teleport"
-    robber_may_pass: bool = True
-    robber_arena: Arena | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k=1, variant="standard", robber_may_pass=True, robber_arena=None):
+        if k < 1:
             raise ValueError("cop count k must be >= 1")
-        if self.variant not in ("standard", "teleport"):
-            raise ValueError("unknown variant %r" % self.variant)
+        if variant not in ("standard", "teleport"):
+            raise ValueError("unknown variant %r" % variant)
+        return super().__new__(cls, k, variant, robber_may_pass, robber_arena)
 
 
 def _as_int(vec):

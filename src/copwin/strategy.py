@@ -28,7 +28,7 @@ the optimal replies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import StateBudgetError
 from .graphs import bfs_distances, bits, diameter, is_bipartite
@@ -42,40 +42,31 @@ from .solver import Arena, GameConfig, cops_win
 OPTIMAL_ROBBER_STATE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class StationaryGuard:
+class StationaryGuard(namedtuple("StationaryGuard", "vertex stage arena_order threshold degree")):
     """One parked cop: where it stands, at which stage of the induction
     it was placed, and the arena order/threshold/degree at that stage."""
 
-    vertex: int
-    stage: int
-    arena_order: int
-    threshold: int
-    degree: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CopPlan:
-    stationary: tuple  # of StationaryGuard
-    residual_arena: Arena
-    mobile_cop_count: int
-    total_cops: int
-    budget: int  # floor(sqrt(2n))
+class CopPlan(namedtuple("CopPlan", "stationary residual_arena mobile_cop_count total_cops budget")):
+    """Theorem 1's plan: the stationary StationaryGuards in order, the
+    residual Arena the mobile cops chase in, the mobile and total cop
+    counts, and the budget floor(sqrt(2n))."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrategyTrace:
+class StrategyTrace(namedtuple("StrategyTrace", "rounds outcome capture_round max_rounds robber_policy")):
     """One simulated play-out.  rounds[i] = (round index, cop tuple after
     the cops' move, robber vertex after his reply); round 0 records the
-    initial placement.  robber_policy names the policy that actually
-    played: "optimal" falls back to "greedy" when the solve would exceed
+    initial placement.  outcome is "captured" or "survived", and
+    capture_round is None when he survived.  robber_policy names the
+    policy that actually played, "optimal" or "greedy": "optimal" falls
+    back to "greedy" when the solve would exceed
     OPTIMAL_ROBBER_STATE_CAP."""
 
-    rounds: tuple
-    outcome: str  # "captured" | "survived"
-    capture_round: int | None
-    max_rounds: int
-    robber_policy: str  # "optimal" | "greedy"
+    __slots__ = ()
 
 
 def theorem1_hypothesis(d, bipartite):

@@ -27,8 +27,7 @@ inequality, never used in place of the exact solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .graphs import bits
 
@@ -36,22 +35,20 @@ TRANSVERSAL_MAX_N = 64
 TRANSVERSAL_MAX_EDGES = 64
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertex set 0..n-1 plus a list of edges (frozensets of vertices)."""
+class Hypergraph(namedtuple("Hypergraph", "n edges")):
+    """Vertex set 0..n-1 plus a list of edges, kept as a tuple of
+    frozensets of vertices."""
 
-    n: int
-    edges: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(frozenset(e) for e in self.edges)
-        )
-        for e in self.edges:
+    def __new__(cls, n, edges=()):
+        edges = tuple(frozenset(e) for e in edges)
+        for e in edges:
             if not e:
                 raise ValueError("hypergraph edge must be nonempty")
-            if any(not 0 <= v < self.n for v in e):
-                raise ValueError("edge %r out of range for n=%d" % (set(e), self.n))
+            if any(not 0 <= v < n for v in e):
+                raise ValueError("edge %r out of range for n=%d" % (set(e), n))
+        return super().__new__(cls, n, edges)
 
     def uniformity(self):
         """Common edge size, or None if not uniform (or edgeless)."""
@@ -209,6 +206,8 @@ def chvatal_bound(h):
     k = h.uniformity()
     if k is None:
         raise ValueError("chvatal_bound requires a k-uniform hypergraph")
+    from fractions import Fraction  # here, so that importing copwin loads no fractions
+
     m = len(h.edges)
     return Fraction((k // 2) * m + h.n, (3 * k) // 2)
 

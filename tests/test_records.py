@@ -1,5 +1,10 @@
 """The six value records: construction, defaults, equality and hashing,
-repr text, immutability, and the checks their constructors make."""
+repr text, immutability, and the checks their constructors make; and the
+modules a bare import of copwin leaves unloaded."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +121,19 @@ def test_hypergraph_checks():
         Hypergraph(3, [{0, 3}])
     with pytest.raises(ValueError, match=r"^edge \{-1\} out of range for n=3$"):
         Hypergraph(3, [{-1}])
+
+
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import copwin, copwin.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == []
